@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace ecstore {
 
@@ -14,6 +15,15 @@ using SiteId = std::uint32_t;
 /// Index of a chunk within a block's k+r encoded chunks.
 /// Chunks [0, k) are the systematic data chunks; [k, k+r) are parity.
 using ChunkIndex = std::uint32_t;
+
+/// Bytes of a single encoded chunk.
+using ChunkData = std::vector<std::uint8_t>;
+
+/// A chunk paired with its index within the block's encoding.
+struct IndexedChunk {
+  ChunkIndex index = 0;
+  ChunkData data;
+};
 
 /// Simulated time in microseconds. All discrete-event simulation state
 /// uses this unit; helpers below convert from human-friendly units.

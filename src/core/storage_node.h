@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "erasure/codec.h"
 
 namespace ecstore {
 

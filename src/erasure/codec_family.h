@@ -1,13 +1,16 @@
-// CodecFamily: the pluggable codec-family abstraction (DESIGN.md §11).
+// CodecFamily: the one codec interface (DESIGN.md §11).
 //
-// Unifies the MDS Codec (codec.h) and LinearCodec/LRC (linear_codec.h)
-// behind one interface whose core addition is the RepairPlan query:
-// given the surviving chunk indices and a rebuild target, return the
-// minimal set of chunks (and fractions of chunks) a reconstruction must
-// read. Full-k for Reed-Solomon, local-group-only for Azure-LRC, and a
-// sub-packetized half-chunk plan for the piggybacked-RS regenerating
-// family. RepairService, the scrubber, and degraded reads all consume
-// the plan instead of assuming MDS.
+// Every coding scheme the store knows — Reed-Solomon, Azure-LRC,
+// piggybacked RS and replication — is a family behind this interface,
+// keyed by its CodecSpec. The linear families share one internal
+// systematic GF(2^8) engine (codec_family.cpp); each adds only its
+// generator and its repair policy. The core query besides encode and
+// decode is RepairPlan: given the surviving chunk indices and a rebuild
+// target, return the minimal set of chunks (and fractions of chunks) a
+// reconstruction must read. Full-k for Reed-Solomon, local-group-only
+// for Azure-LRC, and a sub-packetized half-chunk plan for the
+// piggybacked-RS regenerating family. RepairService, the scrubber, and
+// degraded reads all consume the plan instead of assuming MDS.
 //
 // Implementations are stateless after construction and thread-compatible
 // (one instance may serve every thread); GetCodecFamily memoizes them so
@@ -21,7 +24,7 @@
 #include <vector>
 
 #include "common/codec_spec.h"
-#include "erasure/codec.h"
+#include "common/types.h"
 
 namespace ecstore {
 
@@ -71,16 +74,11 @@ class CodecFamily {
   CodecFamily(const CodecFamily&) = delete;
   CodecFamily& operator=(const CodecFamily&) = delete;
 
-  const CodecSpec& spec() const { return spec_; }
   std::string Name() const { return CodecSpecName(spec_); }
   std::uint32_t DataChunks() const { return SpecDataChunks(spec_); }
   std::uint32_t TotalChunks() const { return SpecTotalChunks(spec_); }
   std::size_t ChunkSize(std::size_t block_size) const {
     return SpecChunkBytes(spec_, block_size);
-  }
-  double StorageOverhead() const {
-    return static_cast<double>(TotalChunks()) /
-           static_cast<double>(DataChunks());
   }
   /// MDS on whole chunks: any DataChunks() distinct chunks decode.
   bool AnyKDecodes() const { return SpecAnyKDecodes(spec_); }
@@ -98,16 +96,15 @@ class CodecFamily {
   virtual bool CanDecode(std::span<const ChunkIndex> indices) const;
 
   /// Reconstructs the block, or nullopt when the chunks do not span it.
+  /// Chunks with an out-of-range or repeated index are ignored; a chunk
+  /// the decode would use that is not ChunkSize(block_size) bytes throws
+  /// std::invalid_argument.
   virtual std::optional<std::vector<std::uint8_t>> TryDecode(
       std::span<const IndexedChunk> chunks, std::size_t block_size) const = 0;
 
   /// TryDecode that throws std::invalid_argument on an undecodable set.
   std::vector<std::uint8_t> Decode(std::span<const IndexedChunk> chunks,
                                    std::size_t block_size) const;
-
-  /// True when decoding this chunk set is pure reassembly (no field
-  /// arithmetic) — the simulator's decode-cost switch.
-  virtual bool IsTrivialDecode(std::span<const ChunkIndex> indices) const;
 
   /// The cheapest plan that rebuilds `target` from (a subset of) the
   /// `available` surviving chunk indices, or nullopt when they cannot.
@@ -123,19 +120,13 @@ class CodecFamily {
       std::size_t block_size) const = 0;
 
  protected:
-  /// Fallback repair for MDS-style families: decode, re-encode target.
-  std::optional<ChunkData> DecodeAndReencode(
-      ChunkIndex target, std::span<const IndexedChunk> sources,
-      std::size_t block_size) const;
-
   CodecSpec spec_;
 };
 
-/// Builds a family for `spec` (validating it). Prefer GetCodecFamily.
-std::unique_ptr<CodecFamily> MakeCodecFamily(const CodecSpec& spec);
-
 /// Memoized, thread-safe registry: one shared immutable family instance
-/// per spec, so the per-block lookup on the read path is a map probe.
+/// per spec (validated on first use; throws std::invalid_argument for a
+/// malformed spec), so the per-block lookup on the read path is a map
+/// probe.
 std::shared_ptr<const CodecFamily> GetCodecFamily(const CodecSpec& spec);
 
 }  // namespace ecstore
