@@ -25,7 +25,7 @@ STAGE="${1:-all}"
 status=0
 
 run_asan() {
-  local regex="${1:-gf_test|erasure_test|codec_family_test|core_test|cache_test|fault_test|chaos_test|shard_stress_test|tail_test|overload_test}"
+  local regex="${1:-gf_test|erasure_test|codec_family_test|core_test|cache_test|parity_test|fault_test|chaos_test|shard_stress_test|tail_test|overload_test}"
   local build=build-asan
   cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DECSTORE_SANITIZE=ON
   cmake --build "$build" -j"$(nproc)"

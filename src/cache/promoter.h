@@ -5,9 +5,10 @@
 // an explicit storage-overhead budget.
 //
 // The promoter is pure policy + budget bookkeeping: it decides *which*
-// blocks change redundancy and accounts the extra bytes; the embodiment
-// executes the catalog/data rewrite (decode k chunks, re-store as rep(r))
-// inside its own movement round. Promotion state:
+// blocks change redundancy and accounts the extra bytes.
+// ControlPlane::RunPromotionRound drives it from the mover's round, and
+// the embodiment executes each catalog/data rewrite (decode k chunks,
+// re-store as rep(r)). Promotion state:
 //
 //     EC ──(freq ≥ promote_min_frequency, budget room)──▶ replicated
 //     replicated ──(freq < demote_frequency)──▶ EC (original spec)

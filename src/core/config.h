@@ -263,7 +263,7 @@ struct ECStoreConfig {
   // --- Overload control (DESIGN.md §14): end-to-end deadlines, per-site
   // circuit breakers, CoDel-style admission control, and the brownout
   // shed ladder. All default-off: with OverloadParams::Enabled() false
-  // neither embodiment constructs an OverloadControl and the request
+  // the ControlPlane constructs no OverloadControl and the request
   // path (RNG draws, planning, timing) is bit-identical to a build
   // without the subsystem.
   OverloadParams overload;

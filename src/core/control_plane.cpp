@@ -72,6 +72,23 @@ ControlPlane::ControlPlane(const ECStoreConfig* config, ClusterState* state,
     shards_.push_back(
         std::make_unique<Shard>(config->co_access_window, per_shard_capacity));
   }
+  if (config->cache_capacity_bytes > 0) {
+    cache_ = std::make_unique<BlockCache>(config->cache_capacity_bytes);
+  }
+  if (config->replica_budget_bytes > 0) {
+    ReplicaPromoter::Params pp;
+    pp.budget_bytes = config->replica_budget_bytes;
+    pp.replica_copies = config->replica_copies;
+    pp.promote_min_frequency = config->promote_min_frequency;
+    pp.demote_frequency = config->demote_frequency;
+    pp.max_promotions_per_round = config->promote_per_round;
+    pp.max_block_bytes = config->promote_max_block_bytes;
+    promoter_ = std::make_unique<ReplicaPromoter>(pp);
+  }
+  if (config->overload.Enabled()) {
+    overload_ = std::make_unique<OverloadControl>(config->num_sites,
+                                                  config->overload);
+  }
 }
 
 std::size_t ControlPlane::TotalRequestsInWindow() const {
@@ -191,7 +208,7 @@ std::uint32_t ControlPlane::AdaptiveDelta(
 std::uint32_t ControlPlane::DeltaForStragglerFraction(double p) const {
   // Brownout level 4 (DESIGN.md §14): the deepest shed rung trades tail
   // latency for capacity — spare late-binding reads are pure extra load.
-  if (overload_ && overload_->brownout_level() >= 4) return 0;
+  if (BrownoutLevel() >= 4) return 0;
   const std::uint32_t cap =
       config_->adaptive_delta_max > 0
           ? std::min(config_->adaptive_delta_max, config_->r)
@@ -419,7 +436,7 @@ void ControlPlane::ScheduleBackgroundIlp(std::span<const BlockId> blocks,
   // solver capacity is shed long before client work is. The greedy plan
   // already served the request; the recurrence gate will re-queue the
   // set once the ladder steps back down.
-  if (overload_ && overload_->brownout_level() >= 2) return;
+  if (BackgroundPaused()) return;
   constexpr std::size_t kMaxQueue = 64;
   constexpr std::size_t kMaxMissedOnce = 100000;
   // Very large multigets (the Wikipedia trace's tail pages) are served by
@@ -499,9 +516,21 @@ void ControlPlane::RunDeferredSolve(std::size_t shard_idx,
 }
 
 std::vector<SiteId> ControlPlane::SelectWriteSites(std::uint32_t count) {
+  return PickWriteSites(count, {});
+}
+
+std::vector<SiteId> ControlPlane::SelectWriteSitesAvoiding(
+    const CodecSpec& spec, std::span<const SiteId> avoid) {
+  return PickWriteSites(SpecTotalChunks(spec), avoid);
+}
+
+std::vector<SiteId> ControlPlane::PickWriteSites(std::uint32_t count,
+                                                 std::span<const SiteId> avoid) {
   std::vector<SiteId> available;
   for (SiteId j = 0; j < state_->num_sites(); ++j) {
-    if (state_->IsSiteAvailable(j)) available.push_back(j);
+    if (!state_->IsSiteAvailable(j)) continue;
+    if (std::find(avoid.begin(), avoid.end(), j) != avoid.end()) continue;
+    available.push_back(j);
   }
   if (available.size() < count) return {};
 
@@ -520,35 +549,6 @@ std::vector<SiteId> ControlPlane::SelectWriteSites(std::uint32_t count) {
   // Load-aware placement: spread new chunks over the least-loaded sites,
   // with the same tie-break perturbation planning uses so concurrent
   // writers do not all pick the same set.
-  const CostParams params = PlanningCostParamsLocked();
-  std::stable_sort(available.begin(), available.end(), [&](SiteId a, SiteId b) {
-    return params.site_overhead_ms[a] < params.site_overhead_ms[b];
-  });
-  available.resize(count);
-  return available;
-}
-
-std::vector<SiteId> ControlPlane::SelectWriteSitesAvoiding(
-    const CodecSpec& spec, std::span<const SiteId> avoid) {
-  const std::uint32_t count = SpecTotalChunks(spec);
-  std::vector<SiteId> available;
-  for (SiteId j = 0; j < state_->num_sites(); ++j) {
-    if (!state_->IsSiteAvailable(j)) continue;
-    if (std::find(avoid.begin(), avoid.end(), j) != avoid.end()) continue;
-    available.push_back(j);
-  }
-  if (available.size() < count) return {};
-
-  std::lock_guard<std::mutex> lk(rng_mu_);
-  if (!config_->CostModelEnabled()) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng_->NextBounded(available.size() - i));
-      std::swap(available[i], available[j]);
-    }
-    available.resize(count);
-    return available;
-  }
   const CostParams params = PlanningCostParamsLocked();
   std::stable_sort(available.begin(), available.end(), [&](SiteId a, SiteId b) {
     return params.site_overhead_ms[a] < params.site_overhead_ms[b];
@@ -630,9 +630,107 @@ void ControlPlane::InvalidateBlock(BlockId block) {
     std::lock_guard<std::mutex> lk(sh.mu);
     sh.plan_cache.InvalidateBlock(block);
   }
-  // Cache coherence seam (§12): notify after the shard lock drops so the
-  // listener may take its own locks freely.
-  if (invalidation_listener_) invalidation_listener_(block);
+  // Eager cache coherence (§12), after the shard lock drops.
+  if (cache_) cache_->Invalidate(block);
+}
+
+ControlPlane::Admission ControlPlane::Admit(double now_ms,
+                                            std::span<const BlockId> blocks,
+                                            std::vector<CachedBlock>* hits) {
+  if (!overload_ || !overload_->gate_enabled()) return Admission::kOpen;
+  if (overload_->admission()->TryAdmit(now_ms)) return Admission::kAdmitted;
+  // Brownout L3 (cache-only answers): a refused read can still be served
+  // when every block sits validly in the decoded-block cache.
+  if (hits && cache_ && BrownoutLevel() >= 3) {
+    hits->assign(blocks.size(), nullptr);
+    bool all_cached = true;
+    for (std::size_t i = 0; i < blocks.size() && all_cached; ++i) {
+      all_cached =
+          cache_->Lookup(blocks[i], state_->BlockVersion(blocks[i]), &(*hits)[i]);
+    }
+    if (all_cached) return Admission::kCacheOnly;
+  }
+  return Admission::kShed;
+}
+
+bool ControlPlane::SplitCacheHits(std::span<const BlockId> ids,
+                                  CacheSplit& split) {
+  if (!cache_) return false;
+  split.hits.assign(ids.size(), nullptr);
+  split.misses.reserve(ids.size());
+  // Prefetch is the cheapest optional work and the first to go under
+  // pressure (brownout L1).
+  const bool prefetch = config_->cache_prefetch && BrownoutLevel() < 1;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const BlockId id = ids[i];
+    if (!cache_->Lookup(id, state_->BlockVersion(id), &split.hits[i])) {
+      split.misses.push_back(id);
+      continue;
+    }
+    ++split.hit_count;
+    cache_->UpdateWeight(id, BlockAccessFrequency(id));
+    if (!prefetch) continue;
+    for (const CoAccessPartner& p :
+         CoAccessPartnersOf(id, config_->prefetch_max_partners)) {
+      if (p.lambda < config_->prefetch_min_lambda) break;  // λ descending.
+      if (std::find(ids.begin(), ids.end(), p.block) != ids.end()) continue;
+      // At most one in-flight fill per block: BeginPrefetch refuses a
+      // block already resident or already being prefetched.
+      if (cache_->BeginPrefetch(p.block)) split.prefetch.push_back(p.block);
+    }
+  }
+  return true;
+}
+
+void ControlPlane::FillCache(BlockId id, CachedBlock data, std::uint64_t bytes,
+                             std::uint64_t version, bool prefetched) {
+  cache_->Insert(id, std::move(data), bytes, version, BlockAccessFrequency(id),
+                 prefetched);
+}
+
+void ControlPlane::RunPromotionRound(const Rewrite& rewrite) {
+  if (!promoter_) return;
+  BlockInfo info;
+  // Demotions first: cooled blocks release budget the same round's
+  // promotions can spend.
+  for (BlockId id : promoter_->SelectDemotions(
+           [this](BlockId b) { return BlockAccessFrequency(b); })) {
+    const std::optional<CodecSpec> original = promoter_->OriginalSpec(id);
+    if (!original) continue;
+    if (!state_->ReadBlock(id, &info)) {
+      promoter_->RecordDemoted(id);  // Deleted while promoted: free budget.
+      continue;
+    }
+    if (rewrite(id, info, *original)) promoter_->RecordDemoted(id);
+  }
+  const std::size_t per_round = promoter_->params().max_promotions_per_round;
+  std::size_t promoted = 0;
+  for (const CoAccessPartner& hot : HottestBlocks(per_round * 8 + 8)) {
+    if (promoted >= per_round) break;
+    if (!state_->ReadBlock(hot.block, &info)) continue;
+    if (info.codec.family == CodecFamilyId::kReplication) continue;
+    const std::uint64_t extra = ReplicaPromoter::ReplicaExtraBytes(
+        info.block_bytes, info.chunk_bytes * info.locations.size(),
+        promoter_->params().replica_copies);
+    if (!promoter_->ShouldPromote(hot.block, hot.lambda, extra,
+                                  info.block_bytes)) {
+      continue;
+    }
+    if (!rewrite(hot.block, info, promoter_->ReplicaSpec())) continue;
+    promoter_->RecordPromoted(hot.block, info.codec, extra);
+    ++promoted;
+  }
+}
+
+void ControlPlane::EvaluateOverload(double now_ms) {
+  if (!overload_) return;
+  // Breakers feed on the same histograms the tail model keeps; the
+  // brownout ladder feeds on the admission controller's pressure.
+  for (SiteId site = 0; site < config_->num_sites; ++site) {
+    overload_->EvaluateSite(site, SiteLatencyQuantileMs(site, 0.99),
+                            SiteLatencySamples(site), now_ms);
+  }
+  overload_->UpdateBrownout(now_ms);
 }
 
 std::vector<CoAccessPartner> ControlPlane::CoAccessPartnersOf(
@@ -952,6 +1050,31 @@ ControlPlaneUsage ControlPlane::Usage() const {
   u.sites_marked_dead = sites_marked_dead_.load(std::memory_order_relaxed);
   u.repair_bytes_read = repair_bytes_read_.load(std::memory_order_relaxed);
   u.repair_chunks_read = repair_chunks_read_.load(std::memory_order_relaxed);
+  if (cache_) {
+    const BlockCacheStats cs = cache_->Stats();
+    u.cache_hits = cs.hits;
+    u.cache_misses = cs.misses;
+    u.cache_evictions = cs.evictions;
+    u.cache_invalidations = cs.invalidations;
+    u.prefetch_issued = cs.prefetch_issued;
+    u.prefetch_hits = cs.prefetch_hits;
+    u.cache_bytes = cs.bytes;
+  }
+  if (promoter_) {
+    const PromoterStats ps = promoter_->Stats();
+    u.blocks_promoted = ps.blocks_promoted;
+    u.blocks_demoted = ps.blocks_demoted;
+    u.replica_extra_bytes = ps.replica_extra_bytes;
+  }
+  if (overload_) {
+    const OverloadCounters oc = overload_->Counters();
+    u.requests_shed = oc.requests_shed;
+    u.deadline_exceeded = oc.deadline_exceeded;
+    u.breaker_opens = oc.breaker_opens;
+    u.breaker_half_open_probes = oc.breaker_half_open_probes;
+    u.brownout_level = oc.brownout_level;
+    u.expired_jobs_cancelled = oc.expired_jobs_cancelled;
+  }
   return u;
 }
 

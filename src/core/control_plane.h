@@ -35,6 +35,10 @@
 // No path ever holds two shard locks at once: cross-shard operations
 // (drift reload, site failure, Usage()) iterate shards ascending,
 // locking one at a time. detector_mu_ is never held across other locks.
+// The optional tiers' own locks (BlockCache, ReplicaPromoter,
+// OverloadControl) are leaves. RunPromotionRound holds no lock while it
+// calls the store's `rewrite`, which may run under the store's catalog
+// writer lock and call back into SelectWriteSitesAvoiding.
 //
 // A plan-cache entry lives in the shard of the MINIMUM block id of its
 // canonical key, so lookups and inserts for the same request key always
@@ -60,6 +64,8 @@
 #include <span>
 #include <vector>
 
+#include "cache/block_cache.h"
+#include "cache/promoter.h"
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "core/config.h"
@@ -113,9 +119,9 @@ struct ControlPlaneUsage {
   std::uint64_t repair_bytes_read = 0;
   std::uint64_t repair_chunks_read = 0;
 
-  // --- Cache + hybrid-redundancy counters (DESIGN.md §12). Overlaid by
-  // the embodiments from their BlockCache / ReplicaPromoter; zero when
-  // both tiers are disabled.
+  // --- Cache + hybrid-redundancy counters (DESIGN.md §12), read from the
+  // control plane's BlockCache / ReplicaPromoter; zero when both tiers
+  // are disabled.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -127,10 +133,10 @@ struct ControlPlaneUsage {
   std::uint64_t blocks_demoted = 0;
   std::uint64_t replica_extra_bytes = 0;  // current extra storage (gauge)
 
-  // --- Overload-control counters (DESIGN.md §14). Overlaid by the
-  // embodiments from their OverloadControl; zero when the subsystem is
-  // off. All monotonic except brownout_level, a gauge holding the
-  // current shed-ladder level (0 = normal .. 4 = fully browned out).
+  // --- Overload-control counters (DESIGN.md §14), read from the control
+  // plane's OverloadControl; zero when the subsystem is off. All
+  // monotonic except brownout_level, a gauge holding the current
+  // shed-ladder level (0 = normal .. 4 = fully browned out).
   std::uint64_t requests_shed = 0;            // admission fast-fails
   std::uint64_t deadline_exceeded = 0;        // requests past their budget
   std::uint64_t breaker_opens = 0;            // closed->open transitions
@@ -184,13 +190,6 @@ class ControlPlane {
   /// embodiment is concurrent.
   using PlanObserver =
       std::function<void(std::span<const BlockId>, const PlanDecision&)>;
-  /// Block-cache coherence seam (DESIGN.md §12): invoked — outside all
-  /// control-plane locks — whenever a block's cached plans are
-  /// invalidated (move, delete, repair rewrite). Embodiments hook their
-  /// BlockCache's eager eviction here; the cache's version check remains
-  /// the correctness backstop. Set before traffic starts; must be
-  /// thread-safe in concurrent embodiments.
-  using InvalidationListener = std::function<void(BlockId)>;
 
   ControlPlane(const ECStoreConfig* config, ClusterState* state, Rng* rng,
                Executor defer_solve, LoadTrackerParams load_params = {});
@@ -324,20 +323,6 @@ class ControlPlane {
     plan_observer_ = std::move(observer);
   }
 
-  void set_invalidation_listener(InvalidationListener listener) {
-    invalidation_listener_ = std::move(listener);
-  }
-
-  /// Overload-control seam (DESIGN.md §14): when set (by the owning
-  /// embodiment, before traffic starts), planning treats open-breaker
-  /// sites as soft failures (dropping their candidates while
-  /// alternatives remain, letting bounded half-open probes through),
-  /// the brownout ladder pauses background ILP scheduling at level >= 2
-  /// and forces δ = 0 at level >= 4. Null (the default) changes nothing.
-  void set_overload_control(OverloadControl* overload) {
-    overload_ = overload;
-  }
-
   /// One site's tail-model latency quantile / sample count, read under
   /// the shared load lock (safe concurrent with live traffic — unlike
   /// the raw load_tracker() accessor). The breaker evaluation input.
@@ -358,6 +343,90 @@ class ControlPlane {
   /// first (ties: ascending block id, deterministic). `lambda` carries
   /// the windowed access frequency. Locks one shard at a time.
   std::vector<CoAccessPartner> HottestBlocks(std::size_t n) const;
+
+  // --- Optional tiers (DESIGN.md §12, §14) ----------------------------
+  // The control plane builds the three default-off tiers from the config
+  // and makes every decision they imply; the stores supply only
+  // mechanics (layout rewrites, cache fills, deadlines on their clock).
+  /// Each tier is null when disabled by config, and then none of its
+  /// logic runs anywhere: the cache when cache_capacity_bytes == 0, the
+  /// promoter when replica_budget_bytes == 0, overload control when
+  /// !config.overload.Enabled(). With overload control on, planning
+  /// treats open-breaker sites as soft failures, brownout level >= 2
+  /// pauses background ILP scheduling and level >= 4 forces δ = 0.
+  BlockCache* block_cache() { return cache_.get(); }
+  ReplicaPromoter* promoter() { return promoter_.get(); }
+  OverloadControl* overload() { return overload_.get(); }
+
+  /// Decoded bytes of one cached block; null in the simulator, whose
+  /// entries are metadata only.
+  using CachedBlock = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+  enum class Admission {
+    kOpen,       // no admission gate configured: nothing to release
+    kAdmitted,   // a token was taken: call ReleaseAdmission() exactly once
+    kCacheOnly,  // refused, but every block is answered from the cache
+    kShed,       // refused: fast-fail
+  };
+
+  /// The admission gate in front of a read (`hits` non-null, `blocks` the
+  /// request) or a write (`hits` null). A refused read at brownout level
+  /// >= 3 is still served, free of fan-out, when every block sits
+  /// version-valid in the cache; `hits` then holds them in request order.
+  Admission Admit(double now_ms, std::span<const BlockId> blocks = {},
+                  std::vector<CachedBlock>* hits = nullptr);
+  /// Returns the token taken by an Admit that answered kAdmitted.
+  void ReleaseAdmission() { overload_->admission()->Release(); }
+
+  /// The per-request end-to-end budget in ms; 0 when deadlines are off.
+  double DeadlineMs() const { return overload_ ? overload_->deadline_ms() : 0; }
+
+  /// Brownout level >= 2: background work — chunk movement, promotion
+  /// rounds and ILP refinement — yields its capacity to client reads.
+  bool BackgroundPaused() const { return BrownoutLevel() >= 2; }
+
+  /// The outcome of the client-side cache check.
+  struct CacheSplit {
+    /// Parallel to the request: a hit's cached bytes, null on a miss
+    /// (and everywhere in the metadata-only simulator).
+    std::vector<CachedBlock> hits;
+    std::uint32_t hit_count = 0;
+    std::vector<BlockId> misses;  // what the request still has to fetch
+    /// Prefetch fills claimed for the hits' co-access partners. The
+    /// caller fills each (FillCache) and then releases its claim with
+    /// block_cache()->EndPrefetch, whether or not the fill landed.
+    std::vector<BlockId> prefetch;
+  };
+
+  /// Client-side cache check: a version-checked lookup of every id. Each
+  /// hit has its eviction weight refreshed and, unless prefetch is off or
+  /// brownout level >= 1, claims prefetch fills for its co-access
+  /// partners at or above prefetch_min_lambda that are not already part
+  /// of this request. Returns false, leaving `split` untouched, when the
+  /// cache is off.
+  bool SplitCacheHits(std::span<const BlockId> ids, CacheSplit& split);
+
+  /// Offers one decoded block to the cache at its current access
+  /// frequency. `version` is the catalog version the bytes were decoded
+  /// from: a fill from before a rewrite never validates again.
+  void FillCache(BlockId id, CachedBlock data, std::uint64_t bytes,
+                 std::uint64_t version, bool prefetched = false);
+
+  /// Rewrites block `id`, whose catalog entry is `info`, to `spec`;
+  /// returns false, leaving the block as it was, when it cannot now.
+  using Rewrite =
+      std::function<bool(BlockId, const BlockInfo&, const CodecSpec&)>;
+
+  /// One hybrid-redundancy round (no-op when the promoter is off):
+  /// demotions of cooled blocks first, freeing budget, then promotions
+  /// of the hottest erasure-coded blocks to replicas within the budget.
+  /// Holds no control-plane lock while it calls `rewrite`.
+  void RunPromotionRound(const Rewrite& rewrite);
+
+  /// Feeds every site's tail-model p99 to its circuit breaker, then
+  /// steps the brownout ladder. Run once per stats tick or load refresh;
+  /// no-op when overload control is off.
+  void EvaluateOverload(double now_ms);
 
   // --- Chunk placement: writes (W1 of Fig. 3) -------------------------
   /// `count` distinct available sites for a new block's chunks: the
@@ -386,9 +455,11 @@ class ControlPlane {
                                                std::span<const SiteId> avoid);
 
   // --- Plan invalidation ----------------------------------------------
-  /// A chunk of `block` moved, or the block was deleted: its plans die.
-  /// Touches only the block's owning shard; entries referencing the
-  /// block from other shards are rejected lazily by ValidatePlan.
+  /// A chunk of `block` moved, or the block was deleted: its plans die,
+  /// and so does its decoded-block cache entry (the cache's version check
+  /// remains the correctness backstop). Touches only the block's owning
+  /// shard; entries referencing the block from other shards are rejected
+  /// lazily by ValidatePlan.
   void InvalidateBlock(BlockId block);
 
   /// A site failed: any cached plan may reference it. Bumps every
@@ -545,6 +616,15 @@ class ControlPlane {
   /// is either the live tracker (caller holds load_mu_) or a snapshot.
   void ApplyTailTerm(std::vector<double>& overheads,
                      const LoadTracker& tracker) const;
+  /// Body of both write-site selections: `count` sites among the
+  /// available ones not in `avoid`, least-loaded or random.
+  std::vector<SiteId> PickWriteSites(std::uint32_t count,
+                                     std::span<const SiteId> avoid);
+  /// Current shed-ladder level; 0 when overload control or brownout is
+  /// off.
+  int BrownoutLevel() const {
+    return overload_ ? overload_->brownout_level() : 0;
+  }
 
   const ECStoreConfig* config_;
   ClusterState* state_;
@@ -565,9 +645,11 @@ class ControlPlane {
   FailureDetector detector_;
 
   PlanObserver plan_observer_;
-  InvalidationListener invalidation_listener_;
-  /// Borrowed from the owning embodiment (null = subsystem off).
-  OverloadControl* overload_ = nullptr;
+
+  // The optional tiers; null when disabled by config.
+  std::unique_ptr<BlockCache> cache_;
+  std::unique_ptr<ReplicaPromoter> promoter_;
+  std::unique_ptr<OverloadControl> overload_;
 
   // Resource counters (Table III) — monotonic, lock-free.
   std::atomic<std::uint64_t> stats_network_bytes_{0};

@@ -61,8 +61,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/block_cache.h"
-#include "cache/promoter.h"
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "common/worker_pool.h"
@@ -73,7 +71,6 @@
 #include "core/storage_node.h"
 #include "erasure/codec_family.h"
 #include "fault/injector.h"
-#include "overload/overload.h"
 #include "placement/mover.h"
 #include "placement/planner.h"
 #include "stats/co_access.h"
@@ -108,21 +105,11 @@ class LocalECStore {
   /// tests can Poll it directly and read chunks_rebuilt()).
   RepairService& repair_service() { return *repair_; }
 
-  /// The decoded-block cache (DESIGN.md §12); null when
-  /// config.cache_capacity_bytes == 0.
-  BlockCache* block_cache() { return cache_.get(); }
-  const BlockCache* block_cache() const { return cache_.get(); }
-
-  /// The hybrid-redundancy promoter (DESIGN.md §12); null when
-  /// config.replica_budget_bytes == 0.
-  ReplicaPromoter* promoter() { return promoter_.get(); }
-  const ReplicaPromoter* promoter() const { return promoter_.get(); }
-
-  /// The overload-control subsystem (DESIGN.md §14); null when
-  /// config.overload.Enabled() is false — in which case no admission
-  /// gate, deadline, breaker, or brownout logic runs anywhere.
-  OverloadControl* overload() { return overload_.get(); }
-  const OverloadControl* overload() const { return overload_.get(); }
+  /// The control plane's optional tiers (DESIGN.md §12, §14); each null
+  /// when disabled by config.
+  BlockCache* block_cache() { return control_plane_.block_cache(); }
+  ReplicaPromoter* promoter() { return control_plane_.promoter(); }
+  OverloadControl* overload() { return control_plane_.overload(); }
 
   /// Blocks until every in-flight prefetch has completed (tests).
   void WaitForPrefetches();
@@ -284,28 +271,21 @@ class LocalECStore {
   /// (bypassing injected latency/errors). Requires meta_mu_ held.
   std::optional<std::vector<std::uint8_t>> ReadBlockBytesLocked(
       BlockId id, const BlockInfo& info);
-  /// Queues prefetch fills for `anchor`'s hottest co-access partners
-  /// (skipping blocks already cached, in flight, or in this request).
-  void MaybePrefetch(BlockId anchor, std::span<const BlockId> requested);
-  /// One prefetch fill: fetch + decode + version-checked cache insert.
-  /// Runs on prefetch_pool_; honors prefetch_cancel_.
+  /// One prefetch fill the control plane claimed: fetch + decode +
+  /// version-checked cache insert. Runs on prefetch_pool_; honors
+  /// prefetch_cancel_.
   void PrefetchBlock(BlockId id);
-  /// One promote/demote sweep of the hybrid-redundancy tier (DESIGN.md
-  /// §12). Requires meta_mu_ held.
-  void RunPromotionRoundLocked();
-  bool PromoteBlockLocked(BlockId id, const BlockInfo& info,
-                          std::uint64_t extra_bytes);
-  bool DemoteBlockLocked(BlockId id);
-  /// Re-encodes a live block under a new codec: writes the new chunks to
-  /// sites disjoint from the old layout, swaps the catalog entry in one
-  /// stripe-locked step (ClusterState::ReplaceBlock — the id never
-  /// vanishes), then retires the old chunks. A reader that planned
-  /// against the old layout either completes from its surviving chunks
-  /// or re-resolves in the degraded path's version refresh. Requires
-  /// meta_mu_ held.
-  void RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
-                          std::span<const std::uint8_t> data,
-                          const CodecSpec& spec, std::span<const SiteId> sites);
+  /// The promotion round's rewrite (DESIGN.md §12): re-encodes a live
+  /// block under a new codec, writing the new chunks to sites disjoint
+  /// from the old layout, swapping the catalog entry in one stripe-locked
+  /// step (ClusterState::ReplaceBlock — the id never vanishes), then
+  /// retiring the old chunks. A reader that planned against the old
+  /// layout either completes from its surviving chunks or re-resolves in
+  /// the degraded path's version refresh. False, with nothing changed,
+  /// when the block is not decodable or too few sites are free right
+  /// now. Requires meta_mu_ held.
+  bool RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
+                          const CodecSpec& spec);
   /// Fans every planned chunk read out to the data plane, completes each
   /// block on its first k arrivals (cancelling/ignoring late-binding
   /// stragglers), runs bounded retry rounds (config.data_plane.retry)
@@ -381,11 +361,6 @@ class LocalECStore {
   std::uint64_t maint_ticks_ = 0;
   std::thread maint_thread_;
 
-  // Latency tier (DESIGN.md §12): decoded-block cache + λ-driven
-  // prefetch + hybrid-redundancy promoter. All null/absent when disabled
-  // by config, leaving the original request path untouched.
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<ReplicaPromoter> promoter_;
   // Cooperative cancel for prefetch jobs still queued at teardown.
   std::shared_ptr<std::atomic<bool>> prefetch_cancel_;
 
@@ -394,15 +369,10 @@ class LocalECStore {
   // its destructor drains them before those members die.
   std::unique_ptr<WorkerPool> bg_pool_;
 
-  // Prefetch fill pool: jobs reference nodes_/state_/cache_, so it is
-  // declared after them (destroyed — drained and joined — first).
+  // Prefetch fill pool (only with the cache and prefetch on): jobs
+  // reference nodes_/state_/control_plane_, so it is declared after them
+  // (destroyed — drained and joined — first).
   std::unique_ptr<WorkerPool> prefetch_pool_;
-
-  // Overload control (DESIGN.md §14): null when every overload feature
-  // is off. Declared before data_plane_: the data plane's sojourn
-  // observer references it, so the plane must be torn down (workers
-  // joined) first.
-  std::unique_ptr<OverloadControl> overload_;
 
   // Declared last: its destructor joins the workers, whose queued jobs
   // reference the nodes above, before anything else is torn down.

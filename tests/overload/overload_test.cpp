@@ -262,10 +262,9 @@ struct PlaneFixture {
 
 TEST(PlanningFilterTest, OpenBreakerSiteIsAvoidedWhenAlternativesExist) {
   PlaneFixture f;
-  OverloadParams p = BreakerParams();
-  p.breaker_min_samples = 1;
-  OverloadControl ctl(8, p);
-  f.plane().set_overload_control(&ctl);
+  f.config.overload = BreakerParams();
+  f.config.overload.breaker_min_samples = 1;
+  OverloadControl& ctl = *f.plane().overload();
 
   // Block 0: 4 candidate sites, only 2 needed — site 0 is avoidable.
   f.state.AddBlock(0, 100 * 1024, 50 * 1024, 2, 2,
@@ -291,10 +290,9 @@ TEST(PlanningFilterTest, OpenBreakerSiteIsAvoidedWhenAlternativesExist) {
 
 TEST(PlanningFilterTest, TrippedSiteEveryBlockNeedsIsStillRead) {
   PlaneFixture f;
-  OverloadParams p = BreakerParams();
-  p.breaker_min_samples = 1;
-  OverloadControl ctl(8, p);
-  f.plane().set_overload_control(&ctl);
+  f.config.overload = BreakerParams();
+  f.config.overload.breaker_min_samples = 1;
+  OverloadControl& ctl = *f.plane().overload();
 
   // Block 0: exactly k candidates, one on the tripped site. Soft
   // failure, not hard: the filter never makes a plan infeasible.
@@ -313,9 +311,8 @@ TEST(PlanningFilterTest, TrippedSiteEveryBlockNeedsIsStillRead) {
 
 TEST(PlanningFilterTest, ClosedBreakersLeaveThePlanPathUntouched) {
   PlaneFixture f;
-  OverloadParams p = BreakerParams();
-  OverloadControl ctl(8, p);
-  f.plane().set_overload_control(&ctl);
+  f.config.overload = BreakerParams();
+  ASSERT_NE(f.plane().overload(), nullptr);
   f.state.AddBlock(0, 100 * 1024, 50 * 1024, 2, 2,
                    std::vector<SiteId>{0, 1, 2, 3});
   const std::vector<BlockId> blocks = {0};
