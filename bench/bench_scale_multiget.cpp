@@ -1,20 +1,21 @@
-// MultiGet scaling bench for the sharded control plane (DESIGN.md §10):
+// MultiGet scaling bench for the control plane (DESIGN.md §10):
 // closed-loop readers hammer one LocalECStore and we report throughput
-// and latency percentiles per thread count, for shards=1 (the pre-shard
-// lock model collapsed into a single shard) versus shards=N.
+// and latency percentiles per thread count.
 //
 // The data plane injects no latency and the chunk fetch is a memcpy, so
-// contention on control-plane locks — metadata stripes, per-shard stats
-// and plan cache — dominates; the speedup at T threads is the sharding
-// win, not an I/O artifact. On a many-core box run with paper-ish scale:
+// contention on control-plane locks — catalog stripes, the plane mutex
+// over co-access stats and plan cache — dominates; the speedup at T
+// threads measures those locks, not I/O. On a many-core box run with
+// paper-ish scale:
 //
 //   bench_scale_multiget --blocks=1000000 --threads=1,8,16,32
-//       --shards=16 --ilp-threads=2 --measure=10
+//       --ilp-threads=2 --measure=10
 //
 // Defaults are CI-sized (small corpus, short windows) so the default
-// run_benches.sh sweep stays fast.
+// run_benches.sh sweep stays fast. --ilp-threads defaults to 0: deferred
+// ILP solves drain after each response, as in the store's default config.
 //
-// Flags: --sites --blocks --block-bytes --batch --shards --ilp-threads
+// Flags: --sites --blocks --block-bytes --batch --ilp-threads
 //        --threads=1,2,4 --warmup --measure --seed --zipf
 //        --json=PATH (writes {"bench":"scale_multiget","rows":[...]})
 #include <algorithm>
@@ -42,8 +43,7 @@ struct Scenario {
   std::uint64_t num_blocks = 4096;
   std::size_t block_bytes = 4096;
   std::size_t batch = 4;
-  std::size_t shards = 8;
-  std::size_t ilp_threads = 1;
+  std::size_t ilp_threads = 0;
   double warmup_s = 0.2;
   double measure_s = 1.0;
   std::uint64_t seed = 1;
@@ -54,7 +54,6 @@ struct Scenario {
 struct Row {
   std::string label;
   int threads = 0;
-  std::size_t shards = 0;
   double throughput = 0;  // requests/s
   double p50_us = 0;
   double p99_us = 0;
@@ -71,12 +70,11 @@ BlockId ZipfDraw(Rng& rng, std::uint64_t n, double theta) {
   return id >= n ? n - 1 : id;
 }
 
-std::unique_ptr<LocalECStore> MakeStore(const Scenario& s, std::size_t shards) {
+std::unique_ptr<LocalECStore> MakeStore(const Scenario& s) {
   ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEcC);
   config.num_sites = s.num_sites;
   config.seed = s.seed;
-  config.control_plane_shards = shards;
-  config.ilp_executor_threads = shards > 1 ? s.ilp_threads : 0;
+  config.ilp_executor_threads = s.ilp_threads;
   auto store = std::make_unique<LocalECStore>(config);
 
   Rng fill(s.seed + 77);
@@ -88,8 +86,8 @@ std::unique_ptr<LocalECStore> MakeStore(const Scenario& s, std::size_t shards) {
   return store;
 }
 
-Row RunOne(const Scenario& s, std::size_t shards, int threads) {
-  auto store = MakeStore(s, shards);
+Row RunOne(const Scenario& s, int threads) {
+  auto store = MakeStore(s);
 
   std::atomic<bool> warm{true};
   std::atomic<bool> stop{false};
@@ -103,7 +101,7 @@ Row RunOne(const Scenario& s, std::size_t shards, int threads) {
       std::vector<BlockId> ids(s.batch);
       while (!stop.load(std::memory_order_relaxed)) {
         // YCSB-E-style scan: Zipf-popular start, contiguous range. Scan
-        // starts recur, so the plan cache sees hits and the per-shard
+        // starts recur, so the plan cache sees hits and the cached-plan
         // lookup path (not just the greedy fallback) is what scales.
         const BlockId scan_start = ZipfDraw(rng, s.num_blocks, s.zipf);
         for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -138,10 +136,8 @@ Row RunOne(const Scenario& s, std::size_t shards, int threads) {
   const double lookups = static_cast<double>(totals.hits + totals.misses);
 
   Row row;
-  row.label = "shards=" + std::to_string(shards) +
-              "/threads=" + std::to_string(threads);
+  row.label = "threads=" + std::to_string(threads);
   row.threads = threads;
-  row.shards = shards;
   row.throughput =
       elapsed > 0 ? static_cast<double>(done.load()) / elapsed : 0;
   row.p50_us = static_cast<double>(merged.Percentile(50));
@@ -161,10 +157,10 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "%s{\"label\":\"%s\",\"threads\":%d,\"shards\":%zu,"
+                 "%s{\"label\":\"%s\",\"threads\":%d,"
                  "\"throughput_rps\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,"
                  "\"cache_hit_rate\":%.4f}",
-                 i ? "," : "", r.label.c_str(), r.threads, r.shards,
+                 i ? "," : "", r.label.c_str(), r.threads,
                  r.throughput, r.p50_us, r.p99_us, r.cache_hit_rate);
   }
   std::fprintf(f, "]}\n");
@@ -198,8 +194,7 @@ int main(int argc, char** argv) {
   s.block_bytes =
       static_cast<std::size_t>(flags.GetInt("block-bytes", 4096));
   s.batch = static_cast<std::size_t>(flags.GetInt("batch", 4));
-  s.shards = static_cast<std::size_t>(flags.GetInt("shards", 8));
-  s.ilp_threads = static_cast<std::size_t>(flags.GetInt("ilp-threads", 1));
+  s.ilp_threads = static_cast<std::size_t>(flags.GetInt("ilp-threads", 0));
   s.warmup_s = flags.GetDouble("warmup", 0.2);
   s.measure_s = flags.GetDouble("measure", 1.0);
   s.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
@@ -208,41 +203,23 @@ int main(int argc, char** argv) {
 
   std::printf(
       "MultiGet scaling — sites=%zu blocks=%llu x %zuB batch=%zu "
-      "shards=%zu ilp-threads=%zu warmup=%.1fs measure=%.1fs\n\n",
+      "ilp-threads=%zu warmup=%.1fs measure=%.1fs\n\n",
       s.num_sites, static_cast<unsigned long long>(s.num_blocks),
-      s.block_bytes, s.batch, s.shards, s.ilp_threads, s.warmup_s,
-      s.measure_s);
+      s.block_bytes, s.batch, s.ilp_threads, s.warmup_s, s.measure_s);
   std::printf("%-24s %12s %10s %10s %8s\n", "config", "reqs/s", "p50(us)",
               "p99(us)", "hit%");
 
   std::vector<Row> rows;
-  for (const std::size_t shards : {std::size_t{1}, s.shards}) {
-    double base_throughput = 0;
-    for (const int threads : s.thread_counts) {
-      const Row row = RunOne(s, shards, threads);
-      if (threads == s.thread_counts.front()) base_throughput = row.throughput;
-      const double scale =
-          base_throughput > 0 ? row.throughput / base_throughput : 0;
-      std::printf("%-24s %12.0f %10.1f %10.1f %7.1f%%  (%.2fx vs T%d)\n",
-                  row.label.c_str(), row.throughput, row.p50_us, row.p99_us,
-                  100 * row.cache_hit_rate, scale, s.thread_counts.front());
-      rows.push_back(row);
-    }
-    if (shards == s.shards) break;  // shards may equal 1; avoid repeat.
-  }
-
-  // Headline ratio: best sharded throughput over single-shard at the same
-  // (largest) thread count.
-  const int top_threads = s.thread_counts.back();
-  double single = 0, sharded = 0;
-  for (const Row& r : rows) {
-    if (r.threads != top_threads) continue;
-    if (r.shards == 1) single = r.throughput;
-    if (r.shards == s.shards) sharded = r.throughput;
-  }
-  if (single > 0 && sharded > 0 && s.shards != 1) {
-    std::printf("\nshards=%zu / shards=1 throughput at %d threads: %.2fx\n",
-                s.shards, top_threads, sharded / single);
+  double base_throughput = 0;
+  for (const int threads : s.thread_counts) {
+    const Row row = RunOne(s, threads);
+    if (threads == s.thread_counts.front()) base_throughput = row.throughput;
+    const double scale =
+        base_throughput > 0 ? row.throughput / base_throughput : 0;
+    std::printf("%-24s %12.0f %10.1f %10.1f %7.1f%%  (%.2fx vs T%d)\n",
+                row.label.c_str(), row.throughput, row.p50_us, row.p99_us,
+                100 * row.cache_hit_rate, scale, s.thread_counts.front());
+    rows.push_back(row);
   }
 
   if (flags.Has("json")) {

@@ -17,7 +17,7 @@
 # local-group vs piggyback half-chunks):
 #   ./run_benches.sh failures-codecs [label]
 #     # writes bench_results/failures_codecs_<label>.json
-# Sharded control-plane MultiGet scaling snapshot (DESIGN.md §10):
+# Control-plane MultiGet thread-scaling snapshot (DESIGN.md §10):
 #   ./run_benches.sh scale-json [label]     # writes bench_results/scale_<label>.json
 # Latency-tier sweep (DESIGN.md §12): decoded-block cache + λ prefetch +
 # hybrid redundancy over the Wikipedia trace at equal storage, reporting

@@ -12,9 +12,9 @@
 # schedule that crashes/flaps/corrupts under concurrent MultiGet/Put and
 # asserts zero data loss (DESIGN.md §9), including the overload storm
 # (breaker arc + brownout recovery at ~2x saturation, DESIGN.md §14).
-# They also run the sharded control-plane stress (shard_stress_test,
-# DESIGN.md §10): MultiGet x Put x FailSite x movement rounds against
-# shards=8 with a live ILP executor pool, and the overload-control suite
+# They also run the control-plane concurrency stress (shard_stress_test,
+# DESIGN.md §10): MultiGet x Put x FailSite x movement rounds against a
+# live two-thread ILP executor pool, and the overload-control suite
 # (overload_test): breakers, CoDel admission, brownout ladder, and the
 # shed/deadline integration in both embodiments.
 #

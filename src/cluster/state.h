@@ -173,8 +173,8 @@ class ClusterState {
   bool BumpBlockVersion(BlockId id);
 
  private:
-  // Catalog stripe count. Fixed and independent of the control-plane
-  // shard count: stripes only bound lock contention on the block map.
+  // Catalog stripe count. Fixed: stripes only bound lock contention on
+  // the block map.
   static constexpr std::size_t kStripes = 64;
 
   struct Stripe {

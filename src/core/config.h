@@ -244,20 +244,12 @@ struct ECStoreConfig {
   /// degraded site heals — at the cost of noisier tail estimates.
   std::uint64_t latency_window = 1024;
 
-  // --- Sharded control plane (DESIGN.md §10). Block metadata statistics,
-  // the plan cache, and the deferred-ILP queues are partitioned into this
-  // many independently locked shards (hash of block id -> shard). 1 keeps
-  // the single-shard layout — required for the simulator's bit-identical
-  // determinism and the embodiment-parity test; LocalECStore benches and
-  // stress tests raise it so concurrent clients stop serializing on one
-  // lock.
-  std::size_t control_plane_shards = 1;
-  // Background ILP executor threads (LocalECStore only). 0 preserves the
-  // legacy behavior — deferred solves drain synchronously after each
-  // MultiGet response and on the maintenance tick, keeping the request
-  // thread's RNG draw order deterministic for parity tests. > 0 drains
-  // the per-shard queues on a small worker pool instead, fully off every
-  // request path.
+  // Background ILP executor threads (LocalECStore only; DESIGN.md §10).
+  // 0 preserves the legacy behavior — deferred solves drain synchronously
+  // after each MultiGet response and on the maintenance tick, keeping the
+  // request thread's RNG draw order deterministic for parity tests. > 0
+  // drains the control plane's queue on a small worker pool instead,
+  // fully off every request path.
   std::size_t ilp_executor_threads = 0;
 
   // --- Overload control (DESIGN.md §14): end-to-end deadlines, per-site

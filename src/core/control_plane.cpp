@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace ecstore {
 
@@ -60,18 +59,10 @@ ControlPlane::ControlPlane(const ECStoreConfig* config, ClusterState* state,
       state_(state),
       rng_(rng),
       defer_solve_(std::move(defer_solve)),
+      co_access_(config->co_access_window),
+      plan_cache_(std::max<std::size_t>(1, config->plan_cache_capacity)),
       load_tracker_(config->num_sites, WithTailParams(load_params, *config)),
       detector_(EffectiveDetectorParams(*config)) {
-  const std::size_t n = std::max<std::size_t>(1, config->control_plane_shards);
-  // The configured cache capacity is a system-wide budget: split it across
-  // shards (each shard LRU-evicts independently within its slice).
-  const std::size_t per_shard_capacity =
-      std::max<std::size_t>(1, config->plan_cache_capacity / n);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(config->co_access_window, per_shard_capacity));
-  }
   if (config->cache_capacity_bytes > 0) {
     cache_ = std::make_unique<BlockCache>(config->cache_capacity_bytes);
   }
@@ -92,33 +83,13 @@ ControlPlane::ControlPlane(const ECStoreConfig* config, ClusterState* state,
 }
 
 std::size_t ControlPlane::TotalRequestsInWindow() const {
-  std::size_t total = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    total += sh->co_access.requests_in_window();
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return co_access_.requests_in_window();
 }
 
 void ControlPlane::RecordRequest(std::span<const BlockId> blocks) {
-  if (shards_.size() == 1) {
-    Shard& sh = *shards_[0];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.co_access.RecordRequest(blocks);
-    return;
-  }
-  // Record the full request into every touched shard so each block's
-  // owning shard sees every pair involving it (see header).
-  std::vector<std::size_t> touched;
-  touched.reserve(blocks.size());
-  for (BlockId b : blocks) touched.push_back(ShardOf(b));
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (std::size_t idx : touched) {
-    Shard& sh = *shards_[idx];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.co_access.RecordRequest(blocks);
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  co_access_.RecordRequest(blocks);
 }
 
 void ControlPlane::RecordLoadReport(SiteId site, double cpu_utilization,
@@ -267,10 +238,8 @@ void ControlPlane::ReloadPlansOnDrift() {
     }
   }
   if (!bump) return;
-  for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    sh->plan_cache.BumpEpoch();
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  plan_cache_.BumpEpoch();
 }
 
 CostParams ControlPlane::CurrentCostParams() const {
@@ -348,16 +317,10 @@ PlanDecision ControlPlane::SelectAccessPlan(
     }
   }
 
-  // The request key's owning shard: shard of the minimum block id, which
-  // is also where background solves for this key Insert their plan.
-  const std::size_t owner_idx =
-      blocks.empty() ? 0
-                     : ShardOf(*std::min_element(blocks.begin(), blocks.end()));
   std::optional<AccessPlan> cached;
   {
-    Shard& owner = *shards_[owner_idx];
-    std::lock_guard<std::mutex> lk(owner.mu);
-    cached = owner.plan_cache.LookupSatisfying(blocks, delta);
+    std::lock_guard<std::mutex> lk(mu_);
+    cached = plan_cache_.LookupSatisfying(blocks, delta);
   }
   if (cached) {
     if (ValidatePlan(*cached)) {
@@ -367,13 +330,8 @@ PlanDecision ControlPlane::SelectAccessPlan(
       return decision;
     }
     // Stale entry (site failed since caching): drop and fall through.
-    // Each block's plans die in its own owning shard — one lock at a
-    // time, never two shard locks held together.
-    for (BlockId b : blocks) {
-      Shard& sh = *shards_[ShardOf(b)];
-      std::lock_guard<std::mutex> lk(sh.mu);
-      sh.plan_cache.InvalidateBlock(b);
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    for (BlockId b : blocks) plan_cache_.InvalidateBlock(b);
   }
   {
     std::lock_guard<std::mutex> lk(rng_mu_);
@@ -427,7 +385,7 @@ bool ControlPlane::ValidatePlan(const AccessPlan& plan) const {
 
 void ControlPlane::ScheduleBackgroundIlp(std::span<const BlockId> blocks,
                                          std::uint32_t delta) {
-  // Each shard runs one background ILP worker solving queued sets off the
+  // One background ILP worker solves queued sets off the
   // request path and installing solutions for future requests (Section
   // V-B1). The queue is deduplicated and bounded: under a miss storm
   // extra solve requests are dropped — the greedy plan already served
@@ -446,73 +404,62 @@ void ControlPlane::ScheduleBackgroundIlp(std::span<const BlockId> blocks,
   constexpr std::size_t kMaxIlpBlocks = 16;
   std::vector<BlockId> key = PlanCache::CanonicalKey(blocks);
   if (key.size() > kMaxIlpBlocks) return;
-  const std::size_t idx = key.empty() ? 0 : ShardOf(key.front());
-  Shard& sh = *shards_[idx];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  if (sh.ilp_pending.count(key)) return;
+  std::lock_guard<std::mutex> lk(mu_);
+  if (ilp_pending_.count(key)) return;
   // First miss only registers the set; a solve is queued when it recurs,
   // since only recurring sets can ever profit from a cached plan.
-  if (sh.missed_once.insert(key).second) {
-    if (sh.missed_once.size() > kMaxMissedOnce) sh.missed_once.clear();
+  if (missed_once_.insert(key).second) {
+    if (missed_once_.size() > kMaxMissedOnce) missed_once_.clear();
     return;
   }
-  if (sh.ilp_queue.size() >= kMaxQueue) return;
-  sh.ilp_pending.insert(key);
-  sh.ilp_queue.push_back(Shard::IlpJob{std::move(key), delta});
-  if (!sh.ilp_worker_busy) {
-    sh.ilp_worker_busy = true;
-    PumpIlpWorkerLocked(idx);
+  if (ilp_queue_.size() >= kMaxQueue) return;
+  ilp_pending_.insert(key);
+  ilp_queue_.push_back(IlpJob{std::move(key), delta});
+  if (!ilp_worker_busy_) {
+    ilp_worker_busy_ = true;
+    PumpIlpWorkerLocked();
   }
 }
 
-void ControlPlane::PumpIlpWorkerLocked(std::size_t shard_idx) {
-  Shard& sh = *shards_[shard_idx];
-  if (sh.ilp_queue.empty()) {
-    sh.ilp_worker_busy = false;
+void ControlPlane::PumpIlpWorkerLocked() {
+  if (ilp_queue_.empty()) {
+    ilp_worker_busy_ = false;
     return;
   }
-  Shard::IlpJob job = std::move(sh.ilp_queue.front());
-  sh.ilp_queue.pop_front();
-  // The executor seam is invoked with the shard lock held; executors
-  // queue the unit rather than running it inline (class contract).
-  defer_solve_([this, shard_idx, job = std::move(job)]() mutable {
-    RunDeferredSolve(shard_idx, std::move(job.blocks), job.delta);
+  IlpJob job = std::move(ilp_queue_.front());
+  ilp_queue_.pop_front();
+  // The executor seam is invoked with mu_ held; executors queue the unit
+  // rather than running it inline (class contract).
+  defer_solve_([this, job = std::move(job)]() mutable {
+    RunDeferredSolve(std::move(job.blocks), job.delta);
   });
 }
 
-void ControlPlane::RunDeferredSolve(std::size_t shard_idx,
-                                    std::vector<BlockId> blocks,
+void ControlPlane::RunDeferredSolve(std::vector<BlockId> blocks,
                                     std::uint32_t delta) {
-  Shard& sh = *shards_[shard_idx];
   {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.ilp_pending.erase(blocks);
+    std::lock_guard<std::mutex> lk(mu_);
+    ilp_pending_.erase(blocks);
   }
-  // The solve itself runs without any shard lock: BuildDemands reads the
-  // cluster state through its own stripe locks and IlpPlan is pure CPU.
+  // The solve itself runs without mu_: BuildDemands reads the cluster
+  // state through its own stripe locks and IlpPlan is pure CPU. A block
+  // deleted since queueing reads as unreadable: the solve is abandoned
+  // (the set can re-queue if it recurs) and the next one pumped.
   std::optional<AccessPlan> plan;
-  try {
-    DemandResult dr = BuildDemands(*state_, blocks, delta);
-    const bool readable =
-        std::find(dr.readable.begin(), dr.readable.end(), false) ==
-        dr.readable.end();
-    if (readable) {
-      CostParams params;
-      {
-        std::lock_guard<std::mutex> lk(rng_mu_);
-        params = PlanningCostParamsLocked();
-      }
-      plan = IlpPlan(dr.demands, params);
-      ilp_solves_.fetch_add(1, std::memory_order_relaxed);
+  DemandResult dr = BuildDemands(*state_, blocks, delta);
+  if (std::find(dr.readable.begin(), dr.readable.end(), false) ==
+      dr.readable.end()) {
+    CostParams params;
+    {
+      std::lock_guard<std::mutex> lk(rng_mu_);
+      params = PlanningCostParamsLocked();
     }
-  } catch (const std::exception&) {
-    // A block was deleted between queueing and solving: abandon this
-    // solve (the set can re-queue if it recurs) and pump the next one.
-    plan.reset();
+    plan = IlpPlan(dr.demands, params);
+    ilp_solves_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lk(sh.mu);
-  if (plan) sh.plan_cache.Insert(blocks, delta, *plan);
-  PumpIlpWorkerLocked(shard_idx);
+  std::lock_guard<std::mutex> lk(mu_);
+  if (plan) plan_cache_.Insert(blocks, delta, *plan);
+  PumpIlpWorkerLocked();
 }
 
 std::vector<SiteId> ControlPlane::SelectWriteSites(std::uint32_t count) {
@@ -626,11 +573,10 @@ std::vector<SiteId> ControlPlane::SelectWriteSites(const CodecSpec& spec) {
 
 void ControlPlane::InvalidateBlock(BlockId block) {
   {
-    Shard& sh = *shards_[ShardOf(block)];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.plan_cache.InvalidateBlock(block);
+    std::lock_guard<std::mutex> lk(mu_);
+    plan_cache_.InvalidateBlock(block);
   }
-  // Eager cache coherence (§12), after the shard lock drops.
+  // Eager cache coherence (§12), after mu_ drops.
   if (cache_) cache_->Invalidate(block);
 }
 
@@ -735,104 +681,46 @@ void ControlPlane::EvaluateOverload(double now_ms) {
 
 std::vector<CoAccessPartner> ControlPlane::CoAccessPartnersOf(
     BlockId b, std::size_t max_partners) const {
-  const Shard& sh = *shards_[ShardOf(b)];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  return sh.co_access.Partners(b, max_partners);
+  std::lock_guard<std::mutex> lk(mu_);
+  return co_access_.Partners(b, max_partners);
 }
 
 double ControlPlane::BlockAccessFrequency(BlockId b) const {
-  const Shard& sh = *shards_[ShardOf(b)];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  return sh.co_access.AccessFrequency(b);
+  std::lock_guard<std::mutex> lk(mu_);
+  return co_access_.AccessFrequency(b);
 }
 
 std::vector<CoAccessPartner> ControlPlane::HottestBlocks(std::size_t n) const {
-  std::vector<CoAccessPartner> merged;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = *shards_[s];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (const CoAccessPartner& p : sh.co_access.TopBlocks(n)) {
-      // With shards > 1 a request is recorded into every touched shard;
-      // only the owner's counts are authoritative for its blocks.
-      if (ShardOf(p.block) == s) merged.push_back(p);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const CoAccessPartner& a, const CoAccessPartner& b) {
-              if (a.lambda != b.lambda) return a.lambda > b.lambda;
-              return a.block < b.block;
-            });
-  if (merged.size() > n) merged.resize(n);
-  return merged;
+  std::lock_guard<std::mutex> lk(mu_);
+  return co_access_.TopBlocks(n);
 }
 
 void ControlPlane::OnSiteFailed(SiteId /*site*/) {
-  // Any cached plan may reference the dead site: bump every shard's
-  // epoch, one shard lock at a time (no world freeze).
-  for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    sh->plan_cache.BumpEpoch();
-  }
+  // Any cached plan may reference the dead site.
+  std::lock_guard<std::mutex> lk(mu_);
+  plan_cache_.BumpEpoch();
 }
 
-double ControlPlane::ShardedCoAccessView::Lambda(BlockId b, BlockId i) const {
-  const Shard& sh = *cp_->shards_[cp_->ShardOf(b)];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  return sh.co_access.Lambda(b, i);
+double ControlPlane::LockedCoAccessView::Lambda(BlockId b, BlockId i) const {
+  std::lock_guard<std::mutex> lk(cp_->mu_);
+  return cp_->co_access_.Lambda(b, i);
 }
 
-std::vector<CoAccessPartner> ControlPlane::ShardedCoAccessView::Partners(
+std::vector<CoAccessPartner> ControlPlane::LockedCoAccessView::Partners(
     BlockId b, std::size_t max_partners) const {
-  const Shard& sh = *cp_->shards_[cp_->ShardOf(b)];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  return sh.co_access.Partners(b, max_partners);
+  std::lock_guard<std::mutex> lk(cp_->mu_);
+  return cp_->co_access_.Partners(b, max_partners);
 }
 
-double ControlPlane::ShardedCoAccessView::AccessFrequency(BlockId b) const {
-  const Shard& sh = *cp_->shards_[cp_->ShardOf(b)];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  return sh.co_access.AccessFrequency(b);
+double ControlPlane::LockedCoAccessView::AccessFrequency(BlockId b) const {
+  std::lock_guard<std::mutex> lk(cp_->mu_);
+  return cp_->co_access_.AccessFrequency(b);
 }
 
-std::vector<BlockId> ControlPlane::ShardedCoAccessView::SampleCandidateBlocks(
+std::vector<BlockId> ControlPlane::LockedCoAccessView::SampleCandidateBlocks(
     Rng& rng, std::size_t count) const {
-  if (cp_->shards_.size() == 1) {
-    // Straight delegation: preserves the single tracker's deterministic
-    // sampling (and draw count) exactly — the simulator's requirement.
-    const Shard& sh = *cp_->shards_[0];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    return sh.co_access.SampleCandidateBlocks(rng, count);
-  }
-  // Merged sampling: let each shard nominate its own frequency-weighted
-  // candidates (restricted to blocks it owns, so the union is duplicate
-  // free), then weighted-sample the final set from the pooled nominees.
-  std::vector<std::pair<BlockId, double>> pool;
-  for (std::size_t s = 0; s < cp_->shards_.size(); ++s) {
-    const Shard& sh = *cp_->shards_[s];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (BlockId b : sh.co_access.SampleCandidateBlocks(rng, count)) {
-      if (cp_->ShardOf(b) != s) continue;
-      pool.emplace_back(b, sh.co_access.AccessFrequency(b));
-    }
-  }
-  std::vector<BlockId> out;
-  out.reserve(std::min(count, pool.size()));
-  while (out.size() < count && !pool.empty()) {
-    double total = 0;
-    for (const auto& [b, w] : pool) total += std::max(w, 1e-12);
-    double x = rng.NextDouble() * total;
-    std::size_t pick = pool.size() - 1;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      x -= std::max(pool[i].second, 1e-12);
-      if (x <= 0) {
-        pick = i;
-        break;
-      }
-    }
-    out.push_back(pool[pick].first);
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
-  }
-  return out;
+  std::lock_guard<std::mutex> lk(cp_->mu_);
+  return cp_->co_access_.SampleCandidateBlocks(rng, count);
 }
 
 std::optional<MovementPlan> ControlPlane::SelectMovement(
@@ -849,7 +737,7 @@ std::optional<MovementPlan> ControlPlane::SelectMovement(
   ApplyTailTerm(params.site_overhead_ms, load_snapshot);
   params.media_ms_per_byte.assign(config_->num_sites,
                                   MediaMsPerByte(config_->site));
-  ShardedCoAccessView view(this);
+  LockedCoAccessView view(this);
   MoverContext ctx;
   ctx.state = state_;
   ctx.co_access = &view;
@@ -913,7 +801,7 @@ std::vector<SiteId> ControlPlane::CheckFailures(double now_ms) {
   // measured from first observation — not from time zero, which would
   // declare a quiet cluster dead on the first check. Detector work runs
   // under detector_mu_ alone; the resulting transitions are applied to
-  // the cluster state and shards afterwards (no nested locks).
+  // the cluster state and plan cache afterwards (no nested locks).
   std::vector<HealthTransition> transitions;
   {
     std::lock_guard<std::mutex> lk(detector_mu_);
@@ -1001,41 +889,16 @@ void ControlPlane::RecordRepair(BlockId block) {
 }
 
 ControlPlane::PlanCacheTotals ControlPlane::CacheTotals() const {
-  PlanCacheTotals t;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    t.hits += sh->plan_cache.hits();
-    t.misses += sh->plan_cache.misses();
-    t.entries += sh->plan_cache.size();
-  }
-  return t;
-}
-
-std::size_t ControlPlane::ilp_queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    depth += sh->ilp_queue.size();
-  }
-  return depth;
-}
-
-bool ControlPlane::ilp_worker_busy() const {
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    if (sh->ilp_worker_busy) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lk(mu_);
+  return {plan_cache_.hits(), plan_cache_.misses(), plan_cache_.size()};
 }
 
 ControlPlaneUsage ControlPlane::Usage() const {
   ControlPlaneUsage u;
-  // Memory gauges: lock each shard briefly in turn — a per-shard
-  // snapshot, not one frozen instant (see ControlPlaneUsage).
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    u.stats_memory_bytes += sh->co_access.ApproxMemoryBytes();
-    u.optimizer_memory_bytes += sh->plan_cache.ApproxMemoryBytes();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    u.stats_memory_bytes = co_access_.ApproxMemoryBytes();
+    u.optimizer_memory_bytes = plan_cache_.ApproxMemoryBytes();
   }
   // The mover's working set: candidate demand vectors + partner lists; a
   // small multiple of the per-evaluation state.

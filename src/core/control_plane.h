@@ -16,12 +16,10 @@
 // drains synchronously off the request path (or on a small executor
 // pool when ilp_executor_threads > 0).
 //
-// --- Sharding (DESIGN.md §10) ----------------------------------------
-// The block-keyed mutable structures — co-access window, plan cache,
-// deferred-ILP queue — are partitioned into `control_plane_shards`
-// independently locked shards (hash of block id -> shard), so concurrent
-// MultiGet planners only contend when their blocks share a shard. The
-// remaining state is split by role:
+// --- Concurrency (DESIGN.md §10) -------------------------------------
+// The block-keyed mutable structures — the co-access window, the plan
+// cache and the deferred-ILP queue — live under one plane mutex, mu_.
+// The remaining state is split by role:
 //   - load_mu_ (shared_mutex): load tracker + epoch overhead snapshot;
 //     planners take it shared for cost snapshots, report ingestion takes
 //     it exclusive.
@@ -29,27 +27,14 @@
 //     decision's draws happen atomically under it.
 //   - detector_mu_: the failure detector.
 //   - counters: std::atomic, lock-free.
-// Lock order (outer -> inner): rng_mu_ -> { load_mu_, shard.mu };
-// shard.mu -> executor queue (the seam may enqueue under a shard lock —
-// executors must not re-enter the control plane inline, see below).
-// No path ever holds two shard locks at once: cross-shard operations
-// (drift reload, site failure, Usage()) iterate shards ascending,
-// locking one at a time. detector_mu_ is never held across other locks.
-// The optional tiers' own locks (BlockCache, ReplicaPromoter,
-// OverloadControl) are leaves. RunPromotionRound holds no lock while it
-// calls the store's `rewrite`, which may run under the store's catalog
-// writer lock and call back into SelectWriteSitesAvoiding.
-//
-// A plan-cache entry lives in the shard of the MINIMUM block id of its
-// canonical key, so lookups and inserts for the same request key always
-// land on the same shard. With shards > 1 a block can appear in entries
-// owned by other shards (via co-accessed partners); those entries are
-// not eagerly invalidated cross-shard — they die lazily when
-// ValidatePlan rejects them against the live cluster state. With
-// shards = 1 (the default, and the simulator's required setting) every
-// structure degenerates to the original single instance and the paper's
-// exact semantics — including cross-key superset reuse — are preserved
-// bit-for-bit.
+// Lock order (outer -> inner): rng_mu_ -> { load_mu_, mu_ };
+// mu_ -> executor queue (the seam may enqueue under mu_ — executors must
+// not re-enter the control plane inline, see below). detector_mu_ is
+// never held across other locks. The optional tiers' own locks
+// (BlockCache, ReplicaPromoter, OverloadControl) are leaves.
+// RunPromotionRound holds no lock while it calls the store's `rewrite`,
+// which may run under the store's catalog writer lock and call back into
+// SelectWriteSitesAvoiding.
 #pragma once
 
 #include <atomic>
@@ -87,12 +72,9 @@ namespace ecstore {
 /// Consistency under concurrency (DESIGN.md §10): the event counters
 /// (stats/mover network bytes, ilp_solves, moves_executed,
 /// chunks_repaired, sites_marked_dead) are MONOTONIC atomics — each read
-/// is exact-at-some-instant and never decreases. The memory gauges
-/// (stats/optimizer/mover memory) are aggregated by locking each shard
-/// briefly in turn, so the total is a per-shard-consistent SNAPSHOT, not
-/// a single cross-shard instant: concurrent inserts/evictions may land
-/// between shard visits. No reader should assume the gauges and counters
-/// describe the same moment.
+/// is exact-at-some-instant and never decreases. The stats/optimizer
+/// memory gauges are read together under the plane mutex. No reader
+/// should assume the gauges and counters describe the same moment.
 struct ControlPlaneUsage {
   std::size_t stats_memory_bytes = 0;
   std::size_t optimizer_memory_bytes = 0;
@@ -165,15 +147,15 @@ struct PlanDecision {
 /// RNG stream from the embodiment (so a DES run remains bit-reproducible
 /// against the embodiment's single seeded stream).
 ///
-/// Internally synchronized (see the sharding note above): MultiGet-path
+/// Internally synchronized (see the concurrency note above): MultiGet-path
 /// calls (RecordRequest, SelectAccessPlan, cost snapshots) may run
-/// concurrently from many client threads and only contend per shard.
+/// concurrently from many client threads.
 /// The reference accessors co_access() / load_tracker() /
 /// failure_detector() / plan_cache() bypass that synchronization — they
 /// are for single-threaded diagnostics (the DES, tests, CLI dumps), not
 /// for use concurrent with live traffic.
 ///
-/// The executor seam may be invoked while a shard lock is held, so
+/// The executor seam may be invoked while the plane mutex is held, so
 /// executors must not re-enter the control plane inline — they queue the
 /// unit and run it later (both embodiments do).
 class ControlPlane {
@@ -197,35 +179,18 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  // --- Sharding --------------------------------------------------------
-  std::size_t num_shards() const { return shards_.size(); }
-
-  /// Owning shard of a block id (and of every plan-cache key whose
-  /// minimum block id it is).
-  std::size_t ShardOf(BlockId id) const {
-    // Fibonacci multiplicative mix so sequential ids spread evenly.
-    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >> 40) %
-           shards_.size();
-  }
-
   // --- Statistics service (Section V-A) -------------------------------
-  /// Shard-0 trackers, for single-threaded diagnostics and the shards=1
-  /// embodiments (see the class comment for the thread-safety caveat).
-  CoAccessTracker& co_access() { return shards_[0]->co_access; }
-  const CoAccessTracker& co_access() const { return shards_[0]->co_access; }
+  /// The raw trackers, for single-threaded diagnostics (see the class
+  /// comment for the thread-safety caveat).
+  CoAccessTracker& co_access() { return co_access_; }
+  const CoAccessTracker& co_access() const { return co_access_; }
   LoadTracker& load_tracker() { return load_tracker_; }
   const LoadTracker& load_tracker() const { return load_tracker_; }
 
-  /// Windowed sampled-request count summed over shards. With shards > 1
-  /// a request spanning shards is counted once per touched shard, so
-  /// this slightly overestimates the true request count — fine for the
-  /// mover's request-rate estimate; exact at shards = 1.
+  /// Sampled requests currently in the co-access window.
   std::size_t TotalRequestsInWindow() const;
 
-  /// Samples one multiget into the co-access window: the full block list
-  /// is recorded into every shard owning at least one of the blocks, so
-  /// each block's owning shard sees every request (and thus every
-  /// co-access pair) involving it.
+  /// Samples one multiget into the co-access window.
   void RecordRequest(std::span<const BlockId> blocks);
 
   /// Ingests one periodic load report; `msg_bytes` is charged to the
@@ -255,7 +220,7 @@ class ControlPlane {
   /// Reloads (drops) every cached plan when the largest per-site o_j
   /// drift since the last epoch exceeds the configured threshold
   /// (Section V-B1 "dynamically reload solutions"). Call after each
-  /// batch of load reports. Bumps shard epochs one at a time.
+  /// batch of load reports.
   void ReloadPlansOnDrift();
 
   /// Current cost parameters (o_j from the load tracker, m_j from the
@@ -272,7 +237,6 @@ class ControlPlane {
   /// against the live state) when the cost model is on, greedy fallback
   /// on a miss (queuing a deduplicated background ILP refinement), or
   /// the random baseline plan otherwise. Never solves an ILP inline.
-  /// Takes only the owning shard's lock (plus rng/load for the fallback).
   /// `delta` is the late-binding δ the demands were built with — the
   /// plan-cache key component, and the δ the background refinement will
   /// re-solve at. Callers pass AdaptiveDelta() (== EffectiveDelta() when
@@ -302,16 +266,12 @@ class ControlPlane {
   /// still holds the chunk.
   bool ValidatePlan(const AccessPlan& plan) const;
 
-  /// Shard-0 plan cache (diagnostics / shards=1 compatibility).
-  const PlanCache& plan_cache() const { return shards_[0]->plan_cache; }
-  PlanCache& plan_cache() { return shards_[0]->plan_cache; }
+  /// The raw plan cache (diagnostics; see class comment).
+  const PlanCache& plan_cache() const { return plan_cache_; }
+  PlanCache& plan_cache() { return plan_cache_; }
 
-  /// Plan cache of one shard (diagnostics; see class comment).
-  const PlanCache& plan_cache(std::size_t shard) const {
-    return shards_[shard]->plan_cache;
-  }
-
-  /// Aggregated hits/misses/entries over all shard caches.
+  /// Plan-cache hits/misses/entries, read together under the plane mutex
+  /// (safe concurrent with live traffic).
   struct PlanCacheTotals {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -330,18 +290,18 @@ class ControlPlane {
   std::uint64_t SiteLatencySamples(SiteId site) const;
 
   // --- Stats queries for the cache/prefetch/promotion tier (§12) ------
-  /// Co-access partners of `b` (λ descending) from its owning shard —
-  /// the prefetch candidate list. Thread-safe (locks the shard).
+  /// Co-access partners of `b` (λ descending) — the prefetch candidate
+  /// list. Thread-safe (takes the plane mutex).
   std::vector<CoAccessPartner> CoAccessPartnersOf(BlockId b,
                                                   std::size_t max_partners) const;
 
-  /// Windowed access frequency of `b` from its owning shard — the cache's
+  /// Windowed access frequency of `b` — the cache's
   /// admission/eviction weight and the promoter's temperature.
   double BlockAccessFrequency(BlockId b) const;
 
-  /// The `n` most frequently accessed blocks across all shards, hottest
-  /// first (ties: ascending block id, deterministic). `lambda` carries
-  /// the windowed access frequency. Locks one shard at a time.
+  /// The `n` most frequently accessed blocks, hottest first (ties:
+  /// ascending block id, deterministic). `lambda` carries the windowed
+  /// access frequency.
   std::vector<CoAccessPartner> HottestBlocks(std::size_t n) const;
 
   // --- Optional tiers (DESIGN.md §12, §14) ----------------------------
@@ -457,13 +417,11 @@ class ControlPlane {
   // --- Plan invalidation ----------------------------------------------
   /// A chunk of `block` moved, or the block was deleted: its plans die,
   /// and so does its decoded-block cache entry (the cache's version check
-  /// remains the correctness backstop). Touches only the block's owning
-  /// shard; entries referencing the block from other shards are rejected
-  /// lazily by ValidatePlan.
+  /// remains the correctness backstop).
   void InvalidateBlock(BlockId block);
 
-  /// A site failed: any cached plan may reference it. Bumps every
-  /// shard's epoch, one shard lock at a time.
+  /// A site failed: any cached plan may reference it, so the plan cache's
+  /// epoch is bumped.
   void OnSiteFailed(SiteId site);
 
   // --- Chunk mover (Algorithm 1, Section V-B2) ------------------------
@@ -518,7 +476,7 @@ class ControlPlane {
 
   // --- Table III accounting -------------------------------------------
   /// See ControlPlaneUsage for which fields are monotonic counters and
-  /// which are per-shard-snapshot gauges.
+  /// which are gauges.
   ControlPlaneUsage Usage() const;
 
   std::uint64_t ilp_solves() const {
@@ -539,44 +497,14 @@ class ControlPlane {
   std::uint64_t repair_chunks_read() const {
     return repair_chunks_read_.load(std::memory_order_relaxed);
   }
-  /// Queued background solves over all shards (locks each in turn).
-  std::size_t ilp_queue_depth() const;
-  /// True when any shard's background worker is mid-solve.
-  bool ilp_worker_busy() const;
 
  private:
-  /// One control-plane shard: the block-keyed mutable state for the
-  /// blocks hashing here, all guarded by one mutex.
-  struct Shard {
-    explicit Shard(std::size_t co_access_window, std::size_t cache_capacity)
-        : co_access(co_access_window), plan_cache(cache_capacity) {}
-
-    mutable std::mutex mu;
-    CoAccessTracker co_access;
-    PlanCache plan_cache;
-    // Per-shard background ILP worker (Section V-B1); misses queue up
-    // (deduplicated, bounded) rather than spawning unbounded solver work.
-    // Each job carries the δ its request planned with, so the refinement
-    // solves and caches at the same fan-out (adaptive δ varies per
-    // request; dedup is by block set, newest δ wins).
-    struct IlpJob {
-      std::vector<BlockId> blocks;
-      std::uint32_t delta = 0;
-    };
-    std::deque<IlpJob> ilp_queue;
-    std::set<std::vector<BlockId>> ilp_pending;
-    // Query sets that missed once: a set is only worth an ILP solve if
-    // it recurs (one-off scans can never hit the cache afterwards).
-    std::set<std::vector<BlockId>> missed_once;
-    bool ilp_worker_busy = false;
-  };
-
-  /// Merged mover view over the per-shard co-access trackers: routes
-  /// anchor-keyed queries to the anchor's owning shard (which saw every
-  /// request involving the anchor) and merges candidate samples.
-  class ShardedCoAccessView : public CoAccessView {
+  /// The mover's view of the co-access tracker: every call takes mu_
+  /// once, so a movement round never holds the plane mutex (and so never
+  /// blocks MultiGet planning) while it evaluates moves.
+  class LockedCoAccessView : public CoAccessView {
    public:
-    explicit ShardedCoAccessView(const ControlPlane* cp) : cp_(cp) {}
+    explicit LockedCoAccessView(const ControlPlane* cp) : cp_(cp) {}
     double Lambda(BlockId b, BlockId i) const override;
     std::vector<CoAccessPartner> Partners(BlockId b,
                                           std::size_t max_partners) const override;
@@ -590,12 +518,11 @@ class ControlPlane {
 
   void ScheduleBackgroundIlp(std::span<const BlockId> blocks,
                              std::uint32_t delta);
-  /// Pops and defers the next queued solve. Caller holds shard.mu.
-  void PumpIlpWorkerLocked(std::size_t shard_idx);
+  /// Pops and defers the next queued solve. Caller holds mu_.
+  void PumpIlpWorkerLocked();
   /// Body of one deferred solve (runs via the executor seam, no locks
   /// held on entry).
-  void RunDeferredSolve(std::size_t shard_idx, std::vector<BlockId> blocks,
-                        std::uint32_t delta);
+  void RunDeferredSolve(std::vector<BlockId> blocks, std::uint32_t delta);
   /// PlanningCostParams body; caller holds rng_mu_.
   CostParams PlanningCostParamsLocked();
   /// Shared tail of both AdaptiveDelta forms: the smallest d with
@@ -631,7 +558,25 @@ class ControlPlane {
   Rng* rng_;
   Executor defer_solve_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // The block-keyed mutable state, all guarded by mu_.
+  mutable std::mutex mu_;
+  CoAccessTracker co_access_;
+  PlanCache plan_cache_;
+  // Background ILP worker (Section V-B1); misses queue up (deduplicated,
+  // bounded) rather than spawning unbounded solver work. Each job carries
+  // the δ its request planned with, so the refinement solves and caches
+  // at the same fan-out (adaptive δ varies per request; dedup is by block
+  // set, newest δ wins).
+  struct IlpJob {
+    std::vector<BlockId> blocks;
+    std::uint32_t delta = 0;
+  };
+  std::deque<IlpJob> ilp_queue_;
+  std::set<std::vector<BlockId>> ilp_pending_;
+  // Query sets that missed once: a set is only worth an ILP solve if it
+  // recurs (one-off scans can never hit the cache afterwards).
+  std::set<std::vector<BlockId>> missed_once_;
+  bool ilp_worker_busy_ = false;
 
   // Load statistics: shared for read-mostly cost snapshots.
   mutable std::shared_mutex load_mu_;

@@ -74,10 +74,6 @@ void DataPlane::SetSiteExtraLatency(SiteId site, double ms) {
   queues_[site]->fault_extra_ms.store(ms, std::memory_order_relaxed);
 }
 
-double DataPlane::SiteExtraLatency(SiteId site) const {
-  return queues_[site]->fault_extra_ms.load(std::memory_order_relaxed);
-}
-
 DataPlane::LatencySample DataPlane::HarvestLatency(SiteId site) {
   SiteQueue& q = *queues_[site];
   LatencySample s;

@@ -76,7 +76,6 @@ class DataPlane {
   /// latency to every fetch at `site` from now on (0 heals it). Safe to
   /// call concurrently with fetches.
   void SetSiteExtraLatency(SiteId site, double ms);
-  double SiteExtraLatency(SiteId site) const;
 
   /// Measured per-site service time (injected latency + real chunk read)
   /// accumulated since the last harvest; harvesting resets the window.

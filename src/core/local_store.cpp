@@ -82,7 +82,7 @@ LocalECStore::LocalECStore(ECStoreConfig config)
           &config_, &state_, &rng_,
           // Executor seam: deferred ILP solves queue up and run once the
           // request has been answered — never on the MultiGet fast path.
-          // May fire while a control-plane shard lock is held, so it only
+          // May fire while the control-plane mutex is held, so it only
           // touches the queue lock (or the pool's): the unit itself runs
           // later and self-synchronizes.
           [this](ControlPlane::Deferred work) {
@@ -459,7 +459,7 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
           : std::chrono::steady_clock::time_point::max();
 
   // Planning takes no store-wide lock (DESIGN.md §10): the control plane
-  // synchronizes itself per shard and the catalog per stripe. A write
+  // synchronizes itself and the catalog locks per stripe. A write
   // racing this path is absorbed downstream — a chunk that moved after
   // the snapshot comes back as a miss and the retry rounds / degraded
   // path re-resolve it against the committed catalog.
@@ -574,7 +574,7 @@ void LocalECStore::DrainBackgroundWork() {
   }
   // Each unit can enqueue its successor (the worker pump), so loop until
   // the queue is truly empty. Units self-synchronize: a deferred solve
-  // takes the control plane's shard/rng/load locks itself.
+  // takes the control plane's rng/load/plane locks itself.
   for (;;) {
     ControlPlane::Deferred work;
     {
@@ -593,7 +593,7 @@ bool LocalECStore::Contains(BlockId id) const {
 }
 
 ControlPlaneUsage LocalECStore::Usage() const {
-  // The control plane aggregates shard by shard; everything overlaid
+  // The control plane reads its own gauges; everything overlaid
   // here is atomic. No store-wide lock (see ControlPlaneUsage for the
   // monotonic-vs-snapshot contract).
   ControlPlaneUsage u = control_plane_.Usage();

@@ -33,9 +33,9 @@
 // RecoverSite/RepairSite/RunMovementRound may be called from multiple
 // threads. The read path — MultiGet planning, demand building, the
 // catalog snapshot, the fetch fan-out — takes NO store-wide lock at all:
-// the ControlPlane is internally sharded/synchronized and the
-// ClusterState is stripe-locked, so concurrent readers only contend on
-// the shards their blocks hash to. meta_mu_ remains as the *catalog
+// the ControlPlane is internally synchronized and the ClusterState is
+// stripe-locked, so concurrent readers only contend on the plane mutex
+// and the stripes their blocks hash to. meta_mu_ remains as the *catalog
 // writer lock*: Put/Remove/FailSite/RecoverSite, the mover, repair, and
 // the scrubber serialize against each other under it (they compose
 // multi-step catalog+node mutations that must not interleave), and the
@@ -43,9 +43,9 @@
 // catalog. Readers racing a writer are safe without it — they plan from
 // an atomic snapshot and absorb staleness through retry rounds and the
 // degraded path.
-// Lock order: meta_mu_ -> refresh_mu_ -> control-plane internal locks ->
-// defer_mu_ / pool queue; fetch workers take only per-fetch-context and
-// per-node locks.
+// Lock order: meta_mu_ -> refresh_mu_ -> control-plane locks (rng_mu_ ->
+// {load_mu_, plane mutex}) -> defer_mu_ / pool queue; fetch workers take
+// only per-fetch-context and per-node locks.
 #pragma once
 
 #include <atomic>
@@ -145,16 +145,17 @@ class LocalECStore {
            std::span<const SiteId> sites);
 
   /// Reads and reconstructs one block. Throws std::runtime_error when
-  /// fewer than k chunks are reachable.
+  /// the block is unknown or fewer than k chunks are reachable.
   std::vector<std::uint8_t> Get(BlockId id);
 
   /// Multi-block read through one shared access plan — the co-located
   /// access path the paper optimizes. Planning takes only the control
-  /// plane's per-shard locks (no store-wide lock); the chunk fetches fan
+  /// plane's own locks (no store-wide lock); the chunk fetches fan
   /// out in parallel (first k of k+delta win under late binding); ILP
   /// refinement runs in the background queue, drained off the request
   /// path after the response is assembled (or on the executor pool when
-  /// config.ilp_executor_threads > 0). Results align with `ids`. Safe to
+  /// config.ilp_executor_threads > 0). Results align with `ids`. Throws
+  /// std::runtime_error when a block is unknown or unreadable. Safe to
   /// call from multiple threads.
   std::vector<std::vector<std::uint8_t>> MultiGet(std::span<const BlockId> ids);
 
@@ -332,7 +333,7 @@ class LocalECStore {
   // ilp_executor_threads == 0 the executor seam appends here under
   // defer_mu_ and DrainBackgroundWork pops and runs each unit after the
   // response (the unit self-synchronizes through the control plane's
-  // shard locks). With ilp_executor_threads > 0 the seam submits to
+  // locks). With ilp_executor_threads > 0 the seam submits to
   // bg_pool_ instead and DrainBackgroundWork waits for pool idle.
   std::mutex defer_mu_;
   std::deque<ControlPlane::Deferred> deferred_;

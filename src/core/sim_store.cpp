@@ -278,9 +278,14 @@ void SimECStore::IssueReads(std::shared_ptr<PendingRequest> req,
   req->blocks_remaining = n;
 
   // Completion requires k chunks per block — with late binding the plan
-  // contains k + delta reads but only the first k responses matter.
+  // contains k + delta reads but only the first k responses matter. A
+  // block deleted since planning has no chunks left to read.
+  BlockInfo info;
   for (std::size_t i = 0; i < n; ++i) {
-    const BlockInfo& info = state_.GetBlock(req->demands[i].block);
+    if (!state_.ReadBlock(req->demands[i].block, &info)) {
+      Complete(req, /*ok=*/false);
+      return;
+    }
     req->remaining[i] = info.k;
   }
   if (n == 0) {
@@ -396,16 +401,19 @@ void SimECStore::OnChunkArrived(const std::shared_ptr<PendingRequest>& req,
 
 void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
   if (req->finished) return;  // Deadline fired first: already completed.
-  req->finished = true;
-  req->retrieval = queue_.Now() - req->retrieval_start;
 
   // R3: decode. A replicated block (the R technique's, or one the
   // promoter rewrote) needs none; blocks whose first-k chunks are all
   // systematic are pure reassembly; otherwise the GF-arithmetic decode
-  // rate applies. The client decodes blocks sequentially.
+  // rate applies. The client decodes blocks sequentially. A block
+  // deleted while its chunks were in flight fails the request.
   SimTime decode_total = 0;
+  BlockInfo info;
   for (std::size_t i = 0; i < req->demands.size(); ++i) {
-    const BlockInfo& info = state_.GetBlock(req->demands[i].block);
+    if (!state_.ReadBlock(req->demands[i].block, &info)) {
+      Complete(req, /*ok=*/false);
+      return;
+    }
     if (info.codec.family == CodecFamilyId::kReplication) continue;
     const auto& chunks = req->received[i];
     const bool systematic =
@@ -416,6 +424,8 @@ void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
     decode_total += static_cast<SimTime>(
         static_cast<double>(info.block_bytes) / rate * kMillisecond);
   }
+  req->finished = true;
+  req->retrieval = queue_.Now() - req->retrieval_start;
   queue_.ScheduleAfter(decode_total, [this, req, decode_total] {
     // Fill the cache with the just-decoded blocks, unless a concurrent
     // rewrite (Put/move/repair) bumped the version since plan time.

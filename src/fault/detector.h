@@ -69,8 +69,6 @@ class FailureDetector {
   /// kAlive for sites never heard from.
   SiteHealth Health(SiteId site) const;
 
-  std::size_t num_tracked() const { return entries_.size(); }
-
  private:
   struct Entry {
     double last_seen_ms = 0;

@@ -35,7 +35,8 @@ DemandResult BuildDemands(const ClusterState& state,
     // atomic availability flags: safe against concurrent RemoveBlock and
     // one lock round instead of two.
     if (!state.ReadBlock(id, &info)) {
-      throw std::out_of_range("GetBlock: unknown block");
+      result.readable.push_back(false);
+      continue;
     }
     BlockDemand d;
     d.block = id;

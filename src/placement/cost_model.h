@@ -56,9 +56,9 @@ struct BlockDemand {
 
 /// Builds the demand vector for `blocks` against the current state:
 /// candidates are the available chunk locations; `needed` is
-/// min(k + delta, #available). Throws std::out_of_range for unknown
-/// blocks; a block with fewer than k available chunks is unreadable and
-/// reported via the returned `readable` flags.
+/// min(k + delta, #available). A block missing from the catalog, or one
+/// with fewer than k available chunks, is unreadable: it gets no demand
+/// and is reported via the returned `readable` flags.
 struct DemandResult {
   std::vector<BlockDemand> demands;
   std::vector<bool> readable;  // parallel to the input blocks

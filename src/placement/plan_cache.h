@@ -23,9 +23,9 @@ namespace ecstore {
 /// LRU cache keyed by the canonical (sorted) block-id set of a request
 /// plus the late-binding delta (with adaptive δ this is the per-request
 /// value, so plans solved at different fan-outs never alias). Mutations
-/// are not thread-safe; callers serialize them — each ControlPlane shard
-/// owns one instance behind its shard mutex (see core/control_plane.h;
-/// the DES additionally runs single-threaded). The hit/miss counters are
+/// are not thread-safe; callers serialize them — the ControlPlane owns
+/// one instance behind its plane mutex (see core/control_plane.h; the
+/// DES additionally runs single-threaded). The hit/miss counters are
 /// atomics so diagnostic reads from tests and benches can race ongoing
 /// lookups without UB.
 class PlanCache {

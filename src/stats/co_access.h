@@ -23,10 +23,9 @@ struct CoAccessPartner {
 };
 
 /// Read-only view of co-access statistics — the exact subset the chunk
-/// mover (Algorithm 1) consumes. Lets the sharded control plane
-/// (DESIGN.md §10) hand the mover either one tracker directly (shards=1,
-/// preserving the simulator's deterministic iteration) or a merged view
-/// over per-shard trackers that locks the owning shard per call.
+/// mover (Algorithm 1) consumes. Lets the control plane (DESIGN.md §10)
+/// hand the mover a view that takes the plane mutex once per call, so a
+/// movement round never holds it across move evaluation.
 class CoAccessView {
  public:
   virtual ~CoAccessView() = default;

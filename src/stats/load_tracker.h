@@ -78,7 +78,6 @@ class LoadTracker {
   /// The scalar load omega(C, S_j): CPU utilization plus normalized I/O
   /// load, both in [0, ~1] so the sum is utilization-like.
   double Omega(SiteId site) const { return omega_[site]; }
-  const std::vector<double>& OmegaVector() const { return omega_; }
 
   /// Mean load over the given sites (all sites when empty); the omega-bar
   /// of the load-balance factor.

@@ -127,6 +127,18 @@ TEST(LocalStoreTest, RemoveDeletesEverywhere) {
   EXPECT_THROW(store.Get(1), std::exception);
 }
 
+TEST(LocalStoreTest, MultiGetOfRemovedIdThrowsRuntimeError) {
+  LocalECStore store(SmallConfig(Technique::kEcCMLb));
+  Rng rng(5);
+  store.Put(0, RandomBlock(100, rng));
+  store.Put(1, RandomBlock(100, rng));
+  ASSERT_TRUE(store.Remove(1));
+  const std::vector<BlockId> removed = {0, 1};
+  EXPECT_THROW(store.MultiGet(removed), std::runtime_error);
+  const std::vector<BlockId> never_written = {0, 99};
+  EXPECT_THROW(store.MultiGet(never_written), std::runtime_error);
+}
+
 TEST(LocalStoreTest, SurvivesRFailures) {
   LocalECStore store(SmallConfig(Technique::kEcC));
   Rng rng(5);
@@ -329,7 +341,9 @@ TEST(LocalStoreTest, UsageExposesSharedAccounting) {
   EXPECT_GT(usage.stats_memory_bytes, 0u);
   EXPECT_GT(usage.mover_memory_bytes, 0u);
   EXPECT_EQ(usage.moves_executed, moved);
-  if (moved > 0) EXPECT_GT(usage.mover_network_bytes, 0u);
+  if (moved > 0) {
+    EXPECT_GT(usage.mover_network_bytes, 0u);
+  }
 }
 
 TEST(LocalStoreTest, IdleRefreshStillRecordsProbes) {

@@ -200,6 +200,55 @@ TEST(SimDeleteTest, DeleteInvalidatesCachedPlans) {
   EXPECT_TRUE(done);
 }
 
+// A Get racing a Delete completes exactly once, with ok = false, whether
+// the delete commits before the Get's plan step or while its chunks are
+// in flight.
+TEST(SimDeleteTest, GetFailsWhenDeleteLandsBeforePlanning) {
+  SimECStore store(TinyConfig(Technique::kEcCMLb));
+  store.LoadBlocks(0, 4, 100 * 1024);
+  bool deleted = false;
+  store.Delete(1, [&](const SimECStore::PutResult& r) { deleted = r.ok; });
+  int calls = 0;
+  RequestBreakdown result;
+  store.Get({0, 1}, [&](const RequestBreakdown& r) {
+    ++calls;
+    result = r;
+  });
+  store.queue().RunUntil(store.queue().Now() + 10 * kSecond);
+  EXPECT_TRUE(deleted);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.planning, 0);  // Failed at the plan step: no reads.
+}
+
+TEST(SimDeleteTest, GetFailsWhenDeleteLandsDuringRetrieval) {
+  SimECStore store(TinyConfig(Technique::kEcCMLb));
+  // 64 MB blocks: each chunk read takes hundreds of ms at the modeled
+  // disk rate, so a delete issued 50 ms in commits mid-retrieval.
+  store.LoadBlocks(0, 4, 64ull << 20);
+  const SimTime start = store.queue().Now();
+  int calls = 0;
+  RequestBreakdown result;
+  SimTime done_at = 0;
+  store.Get({0, 1}, [&](const RequestBreakdown& r) {
+    ++calls;
+    result = r;
+    done_at = store.queue().Now();
+  });
+  SimTime deleted_at = 0;
+  store.queue().ScheduleAfter(50 * kMillisecond, [&] {
+    store.Delete(1, [&](const SimECStore::PutResult& r) {
+      EXPECT_TRUE(r.ok);
+      deleted_at = store.queue().Now();
+    });
+  });
+  store.queue().RunUntil(start + 30 * kSecond);
+  ASSERT_GT(deleted_at, 0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.ok);
+  EXPECT_GT(done_at, deleted_at);  // Noticed when the chunks arrived.
+}
+
 TEST(SimPutTest, PutDeleteChurnKeepsInventoryConsistent) {
   SimECStore store(TinyConfig(Technique::kEc));
   for (int round = 0; round < 10; ++round) {

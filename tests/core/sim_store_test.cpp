@@ -76,13 +76,19 @@ TEST(SimStoreTest, LateBindingReadsExtraChunks) {
   EXPECT_EQ(total_read, 3u * 50 * 1024);  // k + delta = 3 chunks read.
 }
 
-TEST(SimStoreTest, UnknownBlockThrowsAtMetadata) {
+TEST(SimStoreTest, UnknownBlockFailsAtPlanning) {
   SimECStore store(TinyConfig(Technique::kEc));
   store.LoadBlocks(0, 5, 1024);
-  bool called = false;
-  store.Get({99}, [&](const RequestBreakdown&) { called = true; });
-  EXPECT_THROW(store.queue().RunUntil(10 * kSecond), std::out_of_range);
-  EXPECT_FALSE(called);
+  int calls = 0;
+  RequestBreakdown result;
+  store.Get({99}, [&](const RequestBreakdown& r) {
+    ++calls;
+    result = r;
+  });
+  store.queue().RunUntil(10 * kSecond);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.planning, 0);  // Failed at the plan step: no reads.
 }
 
 TEST(SimStoreTest, CostModelPopulatesPlanCache) {

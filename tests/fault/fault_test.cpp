@@ -243,7 +243,9 @@ TEST(RetryScheduleTest, ExponentialBackoffWithJitterAndCap) {
     const double w = sched.WaitMs(round);
     EXPECT_GE(w, nominal * 0.8 - 1e-9) << "round " << round;
     EXPECT_LE(w, nominal * 1.2 + 1e-9) << "round " << round;
-    if (round <= 3) EXPECT_GT(w, prev * 1.2) << "not growing";  // 10,20,40
+    if (round <= 3) {
+      EXPECT_GT(w, prev * 1.2) << "not growing";  // 10,20,40
+    }
     prev = w;
   }
   // Identical seeds produce identical jitter streams.

@@ -1,10 +1,10 @@
-// Sharded control-plane stress (DESIGN.md §10): reader threads MultiGet
-// while writers Put fresh blocks, a chaos thread fails/recovers sites,
-// and a mover thread runs movement rounds — all against a store with
-// shards > 1 and a live background ILP executor pool. The sanitizer CI
-// stages run this binary under both ASan and TSan (run_sanitizers.sh);
-// any lock-order violation between shard mutexes, the load tracker, the
-// catalog stripes, and the executor pool trips TSan here.
+// Control-plane concurrency stress (DESIGN.md §10): reader threads
+// MultiGet while writers Put fresh blocks, a chaos thread fails/recovers
+// sites, and a mover thread runs movement rounds — all against a store
+// with a live background ILP executor pool. The sanitizer CI stages run
+// this binary under both ASan and TSan (run_sanitizers.sh); any
+// lock-order violation between the plane mutex, the RNG and load locks,
+// the catalog stripes, and the executor pool trips TSan here.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +30,6 @@ TEST(ShardStressTest, MultiGetPutFailureAndMovementRace) {
   ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEcCMLb);
   config.num_sites = 12;
   config.seed = 2024;
-  config.control_plane_shards = 8;
   config.ilp_executor_threads = 2;
   LocalECStore store(config);
 
@@ -129,8 +128,7 @@ TEST(ShardStressTest, MultiGetPutFailureAndMovementRace) {
     EXPECT_EQ(store.Get(id), PatternBlock(id, kBlockBytes)) << "block " << id;
   }
 
-  // The sharded bookkeeping stayed consistent: every shard's cache obeys
-  // its per-shard capacity and the aggregate counters are coherent.
+  // The plan-cache counters stayed coherent: every read looked it up.
   const auto totals = store.control_plane().CacheTotals();
   EXPECT_GE(totals.hits + totals.misses, reads.load());
 }

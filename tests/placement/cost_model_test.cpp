@@ -67,11 +67,16 @@ TEST(BuildDemandsTest, UnreadableBlockFlagged) {
   EXPECT_EQ(result.readable, (std::vector<bool>{false, true}));
 }
 
-TEST(BuildDemandsTest, UnknownBlockThrows) {
+TEST(BuildDemandsTest, UnknownBlockFlaggedUnreadable) {
+  // A block missing from the catalog (never written, or deleted since the
+  // request was issued) is reported like an unreadable one, not thrown.
   ClusterState state(6);
   PopulateSmallState(state);
-  const std::vector<BlockId> q = {42};
-  EXPECT_THROW(BuildDemands(state, q, 0), std::out_of_range);
+  const std::vector<BlockId> q = {42, 1};
+  const DemandResult result = BuildDemands(state, q, 0);
+  ASSERT_EQ(result.demands.size(), 1u);
+  EXPECT_EQ(result.demands[0].block, 1u);
+  EXPECT_EQ(result.readable, (std::vector<bool>{false, true}));
 }
 
 TEST(PlanCostTest, EquationOneByHand) {

@@ -126,7 +126,9 @@ TEST_F(MoverFixture, EarlyStoppingBoundsEvaluations) {
   const auto plan = SelectMovementPlan(ctx_, mp, rng);
   // With one evaluation we may or may not find a positive-score plan;
   // either outcome is acceptable, but no crash/hang.
-  if (plan) EXPECT_GT(plan->score, 0.0);
+  if (plan) {
+    EXPECT_GT(plan->score, 0.0);
+  }
 }
 
 TEST(MoverEdgeTest, NoStatisticsMeansNoPlan) {
